@@ -194,6 +194,14 @@ def validate_model(model: DiagnosisModel) -> list[Violation]:
             )
         )
 
+    # The threshold is solved only when its inputs passed the checks above,
+    # so each fault is reported once.
+    if not any(v.code in ("prior_out_of_range", "degenerate_utility_ordering") for v in out):
+        try:
+            threshold(u, model.p_h)
+        except DomainError as exc:
+            out.append(Violation("degenerate_threshold", "utilities", str(exc)))
+
     c = model.costs
     for name in ("k1", "k2", "k3", "k4", "k5", "k6"):
         value = getattr(c, name)
@@ -239,6 +247,13 @@ def threshold(utilities: UtilityTable, p_h: float) -> Threshold:
     if not (0.0 < p_h < 1.0):
         raise DomainError(f"p_h = {p_h!r} must lie strictly inside (0, 1)")
     p_star = gain_wait / (gain_act + gain_wait)
+    if not (0.0 < p_star < 1.0):
+        # The differences are infinite or their sum overflows.  Inside (0, 1)
+        # every double has a finite log-odds, so w_star is finite too.
+        raise DomainError(
+            f"utility differences {gain_act!r} and {gain_wait!r} give a threshold "
+            f"probability p_star = {p_star!r} outside (0, 1)"
+        )
     w_star = math.log(p_star / (1.0 - p_star)) - math.log(p_h / (1.0 - p_h))
     return Threshold(p_star, w_star)
 
@@ -297,7 +312,14 @@ def _require_keys(data: Mapping, expected: frozenset, where: str) -> None:
 def _number(value: object, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}: expected a number, got {type(value).__name__}")
-    return float(value)
+    # json.loads accepts NaN and +-Infinity, and integers of any size.
+    try:
+        number = float(value)
+    except OverflowError:
+        raise FormatError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(number):
+        raise FormatError(f"{where}: expected a finite number, got {number!r}")
+    return number
 
 
 def model_from_dict(data: Mapping) -> DiagnosisModel:

@@ -20,7 +20,16 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 
 from .errors import CapExceededError, FormatError, MethodError, ObservationError
-from .exact import DEFAULT_ENUMERATION_CAP, assignment_arrays, exact_ev_subset
+from .exact import (
+    DEFAULT_ENUMERATION_CAP,
+    act_probabilities,
+    compose_ev,
+    empty_prefix,
+    exact_ev_subset,
+    extend,
+    resolve_subset,
+    weight_sums,
+)
 from .gaussian import gaussian_ev_subset
 from .model import Action, DiagnosisModel, Observation, model_digest, threshold
 from .niv import Method, TablePolicy, niv
@@ -86,14 +95,29 @@ def _evaluator(
     model: DiagnosisModel, method: Method, enum_cap: int
 ) -> Callable[[Sequence[str]], float]:
     if method == "exact":
+        # Rejects a model that repeats an id, as valuing a subset of it would.
+        items = resolve_subset(model, [item.id for item in model.evidence])
+        lookup = {item.id: item for item in items}
+        w_star = threshold(model.utilities, model.p_h).w_star
+        # The arrays of the subset's leading ``built`` items.  Greedy only
+        # appends to the subset it values, so they always form a prefix of it.
+        prefix = empty_prefix()
+        built = 0
 
         def evaluate(subset: Sequence[str]) -> float:
+            nonlocal built
             if len(subset) > enum_cap:
                 raise CapExceededError(
                     f"exact evaluation of {len(subset)} items exceeds the enumeration "
                     f"cap of {enum_cap}; switch to method='gaussian'"
                 )
-            return exact_ev_subset(model, subset, cap=enum_cap).ev
+            if not subset:
+                return exact_ev_subset(model, subset, cap=enum_cap).ev
+            # Extended lazily, so the prefix is not extended past the last step.
+            for evidence_id in subset[built:-1]:
+                extend(prefix, lookup[evidence_id])
+            built = len(subset) - 1
+            return compose_ev(model, *act_probabilities(prefix, lookup[subset[-1]], w_star))
 
     elif method == "gaussian":
 
@@ -186,7 +210,7 @@ def compile_table(
         raise CapExceededError(
             f"subset of {len(subset)} items exceeds the table cap of {cap}"
         )
-    weights, _, _ = assignment_arrays(model, subset, cap=cap)
+    weights = weight_sums(model, subset, cap=cap)
     thr = threshold(model.utilities, model.p_h)
     bits = np.packbits(weights >= thr.w_star, bitorder="little").tobytes()
     return CompiledTable(

@@ -32,7 +32,9 @@ from .errors import (
 from .model import (
     Action,
     DiagnosisModel,
+    EvidenceVariable,
     Observation,
+    WeightPair,
     model_digest,
     optimal_action,
     threshold,
@@ -165,6 +167,7 @@ def build_tree(
     p_h = model.p_h
     node_cost = model.costs.k5 * model.costs.k6
     r = model.costs.r
+    candidates = [(item, weight_pair(item.alpha, item.beta)) for item in model.evidence]
 
     def contribution(p_path_h: float, p_path_nh: float, action: Action) -> float:
         if action is Action.ACT:
@@ -180,11 +183,11 @@ def build_tree(
     ) -> tuple[Node, float, list[tuple[str, float]]]:
         action = optimal_action(w_path, thr)
         base = contribution(p_path_h, p_path_nh, action)
-        best: tuple[float, float, str] | None = None  # (dniv, dev, id)
-        for item in model.evidence:
+        # (dniv, dev, item, pair)
+        best: tuple[float, float, EvidenceVariable, WeightPair] | None = None
+        for item, pair in candidates:
             if item.id in used:
                 continue
-            pair = weight_pair(item.alpha, item.beta)
             split_ev = contribution(
                 p_path_h * item.alpha,
                 p_path_nh * item.beta,
@@ -200,14 +203,13 @@ def build_tree(
                 best is None
                 or dniv > best[0]
                 or (dniv == best[0] and dev > best[1])
-                or (dniv == best[0] and dev == best[1] and item.id < best[2])
+                or (dniv == best[0] and dev == best[1] and item.id < best[2].id)
             ):
-                best = (dniv, dev, item.id)
+                best = (dniv, dev, item, pair)
         if best is None:
             return Leaf(action), 0.0, []
-        dniv, _, evidence_id = best
-        item = model.evidence_map()[evidence_id]
-        pair = weight_pair(item.alpha, item.beta)
+        dniv, _, item, pair = best
+        evidence_id = item.id
 
         def children(child_tolerance: int):
             true_node, true_gain, true_events = grow(

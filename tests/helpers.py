@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sact
 from sact import (
     CostModel,
@@ -22,6 +24,7 @@ from sact import (
     threshold,
     weight_pair,
 )
+from sact.exact import compose_ev
 
 ZERO_COSTS = CostModel(k1=0.0, k2=0.0, k3=0.0, k4=0.0, k5=0.0, k6=0.0, r=1.0)
 UNIT_COSTS = CostModel(k1=1.0, k2=1.0, k3=1.0, k4=1.0, k5=1.0, k6=1.0, r=1.0)
@@ -137,6 +140,57 @@ def brute_force_evaluation(model: DiagnosisModel, subset):
         p_act_nh * u.u_nh_d + (1.0 - p_act_nh) * u.u_nh_nd
     ) * (1.0 - model.p_h)
     return ev, p_act_h, p_act_nh
+
+
+def concatenated_arrays(model: DiagnosisModel, subset):
+    """The 2^n weight-sum and probability arrays of a subset, from scratch.
+
+    The plain loop the exact kernel must reproduce bit for bit: each item
+    doubles the arrays, its false half first.
+    """
+    lookup = model.evidence_map()
+    weights, p_given_h, p_given_nh = np.zeros(1), np.ones(1), np.ones(1)
+    for evidence_id in subset:
+        item = lookup[evidence_id]
+        pair = weight_pair(item.alpha, item.beta)
+        weights = np.concatenate([weights + pair.w_neg, weights + pair.w_pos])
+        p_given_h = np.concatenate([p_given_h * (1.0 - item.alpha), p_given_h * item.alpha])
+        p_given_nh = np.concatenate([p_given_nh * (1.0 - item.beta), p_given_nh * item.beta])
+    return weights, p_given_h, p_given_nh
+
+
+def from_scratch_evaluation(model: DiagnosisModel, subset):
+    """(ev, P(act|H), P(act|not-H)) summed over the subset's full 2^n arrays."""
+    weights, p_given_h, p_given_nh = concatenated_arrays(model, subset)
+    acts = weights >= threshold(model.utilities, model.p_h).w_star
+    p_act_h = float(p_given_h[acts].sum())
+    p_act_nh = float(p_given_nh[acts].sum())
+    return compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh
+
+
+def tie_models() -> list[DiagnosisModel]:
+    """Models with weight-sum atoms within 1e-12 of w_star, where the rounding
+    of each sum decides the action.
+
+    (0.7, 0.3) items at an even prior and even n: w_star = 0, and the
+    assignments with as many true as false items sum to about 0.  (0.8, 0.2)
+    items at prior 0.8 and odd n: w_star = -ln 4, one more false item than
+    true ones.  Comparing ``w >= w_star - w_neg`` in place of
+    ``w + w_neg >= w_star`` changes the result on the second family.
+    """
+    return [make_model([(0.7, 0.3)] * n) for n in (2, 4, 6, 8, 10)] + [
+        make_model([(0.8, 0.2)] * n, p_h=0.8) for n in (3, 5, 7, 9)
+    ]
+
+
+def identity_models(seed: int) -> list[DiagnosisModel]:
+    """Random models, half with free compilation so that selection goes deep,
+    and the :func:`tie_models`."""
+    rng = random.Random(seed)
+    return [
+        random_model(rng, rng.randint(0, 10), costs=ZERO_COSTS if i % 2 else None)
+        for i in range(24)
+    ] + tie_models()
 
 
 def complete_tree(model: DiagnosisModel, subset) -> SituationActionTree:

@@ -36,6 +36,26 @@ def test_validate_reports_violations_with_exit_one(workspace):
     assert report[0]["code"] == "alpha_out_of_range"
 
 
+def test_unsolvable_threshold_fails_validation_not_analyze(workspace):
+    huge = json.loads(json.dumps(M1))
+    huge["utilities"] = {"u_h_d": 1e308, "u_h_nd": 0, "u_nh_d": 0, "u_nh_nd": 1e308}
+    (workspace / "huge.json").write_text(json.dumps(huge))
+    result = run_sact("validate", "huge.json", cwd=workspace)
+    assert result.returncode == 1
+    assert [v["code"] for v in json.loads(result.stdout)] == ["degenerate_threshold"]
+    result = run_sact("analyze", "huge.json", cwd=workspace)  # fails on a traceback
+    assert result.returncode == 1
+    assert b"degenerate_threshold" in result.stderr
+
+
+def test_non_finite_number_exits_two(workspace):
+    text = json.dumps(M1).replace('"p_h": 0.5', '"p_h": NaN')
+    (workspace / "nan.json").write_text(text)
+    result = run_sact("validate", "nan.json", cwd=workspace)
+    assert result.returncode == 2
+    assert b"p_h: expected a finite number, got nan" in result.stderr
+
+
 def test_malformed_json_exits_two(workspace):
     (workspace / "broken.json").write_text("{oops")
     result = run_sact("validate", "broken.json", cwd=workspace)

@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from sact import (
@@ -12,9 +14,21 @@ from sact import (
     exhaustive_subset_search,
     niv,
     TablePolicy,
+    threshold,
 )
 
-from helpers import brute_force_evaluation, m1, make_model, random_model
+from sact.exact import act_probabilities, assignment_arrays, empty_prefix, extend
+
+from helpers import (
+    brute_force_evaluation,
+    concatenated_arrays,
+    from_scratch_evaluation,
+    identity_models,
+    m1,
+    make_model,
+    random_model,
+    tie_models,
+)
 
 
 class TestExactEvSubset:
@@ -203,3 +217,119 @@ class TestExhaustiveSearch:
         model = make_model([(0.8, 0.2), (0.8, 0.2)])
         subset, _ = exhaustive_subset_search(model)
         assert subset == ("e1",)
+
+
+class TestPrefixKernelBitIdentity:
+    """The prefix-extension kernel against full arrays enumerated from scratch,
+    compared with ``==``: the kernel must not change a single rounding."""
+
+    def test_tie_models_have_atoms_on_the_threshold(self):
+        for model in tie_models():
+            weights, _, _ = concatenated_arrays(model, [item.id for item in model.evidence])
+            w_star = threshold(model.utilities, model.p_h).w_star
+            assert np.count_nonzero(np.abs(weights - w_star) < 1e-12) > 0
+
+    def test_assignment_arrays_equal_the_concatenation_loop(self):
+        for model in identity_models(211):
+            subset = [item.id for item in model.evidence]
+            for built, reference in zip(assignment_arrays(model, subset),
+                                        concatenated_arrays(model, subset)):
+                assert built.tobytes() == reference.tobytes()
+
+    def test_act_probabilities_equal_the_extended_arrays(self):
+        rng = random.Random(223)
+        for model in identity_models(211):
+            subset = [item.id for item in model.evidence]
+            rng.shuffle(subset)
+            w_star = threshold(model.utilities, model.p_h).w_star
+            prefix = empty_prefix()
+            for k, item in enumerate(model.evidence_map()[i] for i in subset):
+                _, p_h, p_nh = from_scratch_evaluation(model, subset[: k + 1])
+                assert act_probabilities(prefix, item, w_star) == (p_h, p_nh)
+                extend(prefix, item)
+
+    def test_exact_ev_subset_equals_from_scratch(self):
+        rng = random.Random(227)
+        for model in identity_models(211):
+            ids = [item.id for item in model.evidence]
+            for subset in (ids, ids[::-1], [i for i in ids if rng.random() < 0.6], []):
+                result = exact_ev_subset(model, subset)
+                assert (result.ev, result.p_act_given_h, result.p_act_given_nh) == (
+                    from_scratch_evaluation(model, subset)
+                )
+                assert result.enumerated_count == 1 << len(subset)
+
+    def test_exhaustive_equals_a_from_scratch_search_in_mask_order(self):
+        for model in identity_models(211):
+            ids = [item.id for item in model.evidence]
+            best = None
+            for mask in range(1 << len(ids)):
+                subset = tuple(ids[i] for i in range(len(ids)) if (mask >> i) & 1)
+                ev = from_scratch_evaluation(model, subset)[0]
+                report = niv(model, TablePolicy(subset), ev, method="exact")
+                if (
+                    best is None
+                    or report.niv > best[1].niv
+                    or (report.niv == best[1].niv
+                        and (len(subset), subset) < (len(best[0]), best[0]))
+                ):
+                    best = (subset, report)
+            assert exhaustive_subset_search(model) == best
+
+
+class TestCapMessages:
+    def test_enumeration_cap_message(self):
+        model = make_model([(0.6, 0.4)] * 5)
+        with pytest.raises(CapExceededError) as excinfo:
+            exact_ev_subset(model, [item.id for item in model.evidence], cap=3)
+        assert str(excinfo.value) == (
+            "subset of 5 items exceeds the enumeration cap of 3 (would require 2^5 assignments)"
+        )
+
+    def test_exhaustive_search_cap_message(self):
+        model = make_model([(0.6, 0.4)] * 4)
+        with pytest.raises(CapExceededError) as excinfo:
+            exhaustive_subset_search(model, cap=3)
+        assert str(excinfo.value) == (
+            "model has 4 evidence items, above the exhaustive search cap of 3"
+        )
+
+    @pytest.mark.parametrize("eval_cap", [-1, 0, 2])
+    def test_exhaustive_evaluation_cap_names_the_first_subset_too_large(self, eval_cap):
+        model = make_model([(0.6, 0.4)] * 4)
+        with pytest.raises(CapExceededError) as excinfo:
+            exhaustive_subset_search(model, eval_cap=eval_cap)
+        n = eval_cap + 1
+        assert str(excinfo.value) == (
+            f"subset of {n} items exceeds the enumeration cap of {eval_cap} "
+            f"(would require 2^{n} assignments)"
+        )
+
+    def test_unknown_and_duplicate_messages(self):
+        model = make_model([(0.8, 0.2), (0.7, 0.3)])
+        with pytest.raises(UnknownEvidenceError, match="^unknown evidence id 'zz'$"):
+            exact_ev_subset(model, ["e1", "zz"])
+        with pytest.raises(UnknownEvidenceError, match="^duplicate evidence id 'e2' in subset$"):
+            exact_ev_subset(model, ["e2", "e1", "e2"])
+
+
+class TestMemory:
+    # One unit is a float64 array over 2^17 assignments, half the n = 18
+    # subset.  The kernel builds the three arrays of the first 17 items and
+    # gathers the acting probabilities of the last item into one array;
+    # enumerating all 18 items' arrays took about 9 units.
+    UNIT = 8 * (1 << 17)
+
+    @pytest.mark.parametrize("p_h", [0.5, 0.999])
+    def test_exact_ev_subset_peak_at_n_18(self, p_h):
+        # At p_h = 0.5 about half the assignments act; at 0.999 all of them
+        # do, the largest gather.
+        model = make_model([(0.7, 0.3)] * 17 + [(0.6, 0.45)], p_h=p_h)
+        subset = [item.id for item in model.evidence]
+        tracemalloc.start()
+        try:
+            exact_ev_subset(model, subset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * self.UNIT

@@ -98,6 +98,14 @@ class TestThreshold:
             with pytest.raises(DomainError):
                 threshold(UtilityTable(1, 0, 0, 1), p_h)
 
+    def test_overflowing_utility_differences_rejected(self):
+        # The differences sum to infinity, so p_star rounds to 0 and its
+        # log-odds would not exist.
+        with pytest.raises(DomainError, match="outside"):
+            threshold(UtilityTable(1e308, 0.0, 0.0, 1e308), 0.5)
+        with pytest.raises(DomainError, match="outside"):
+            threshold(UtilityTable(math.inf, 0.0, 0.0, math.inf), 0.5)
+
     def test_indifference_equation_balances(self):
         rng = random.Random(23)
         for _ in range(300):
@@ -208,6 +216,15 @@ class TestValidateModel:
             for v in validate_model(make_model([(0.8, 0.2)], p_h=float("nan")))
         )
 
+    def test_unsolvable_threshold_flagged(self):
+        model = make_model([(0.8, 0.2)], utilities=UtilityTable(1e308, 0.0, 0.0, 1e308))
+        report = validate_model(model)
+        assert [(v.code, v.field) for v in report] == [("degenerate_threshold", "utilities")]
+
+    def test_prior_fault_not_reported_again_as_threshold(self):
+        report = validate_model(make_model([(0.8, 0.2)], p_h=1.0))
+        assert [v.code for v in report] == ["prior_out_of_range"]
+
     def test_violations_serialize(self):
         violation = Violation("x", "y", "z")
         assert violation.to_dict() == {"code": "x", "field": "y", "message": "z"}
@@ -242,6 +259,15 @@ class TestModelJson:
         data["p_h"] = True
         with pytest.raises(FormatError, match="expected a number"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_numbers_rejected(self, literal):
+        # json.loads accepts NaN and Infinity, turns 1e400 into inf and keeps
+        # a long integer exact; none of them is a finite float.
+        text = json.dumps(model_to_dict(m1())).replace('"r": 1.0', f'"r": {literal}')
+        assert literal in text
+        with pytest.raises(FormatError, match=r"^costs\.r: "):
+            model_from_json(text)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(FormatError):

@@ -1,7 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
+import sact.cli
+import sact.table
 from sact import (
     Action,
     CapExceededError,
@@ -22,7 +25,14 @@ from sact import (
     write_table,
 )
 
-from helpers import m1, make_model, random_model
+from helpers import (
+    concatenated_arrays,
+    from_scratch_evaluation,
+    identity_models,
+    m1,
+    make_model,
+    random_model,
+)
 
 
 class TestGreedySelect:
@@ -257,3 +267,56 @@ class TestSerialization:
                 read_table(bytes(mutated))
             except FormatError:
                 pass  # rejection is the expected failure mode
+
+
+class TestPrefixKernelBitIdentity:
+    """Greedy selection and table bits against full arrays enumerated from
+    scratch, compared with ``==``."""
+
+    @pytest.mark.parametrize("lookahead", [0, 1, 2])
+    def test_greedy_equals_from_scratch_valuation(self, monkeypatch, lookahead):
+        models = list(identity_models(229))
+        kept = [greedy_select(model, lookahead=lookahead) for model in models]
+        # The same hill-climb with every candidate valued from scratch.
+        def from_scratch(model, method, enum_cap):
+            return lambda subset: from_scratch_evaluation(model, subset)[0]
+
+        monkeypatch.setattr(sact.table, "_evaluator", from_scratch)
+        assert kept == [greedy_select(model, lookahead=lookahead) for model in models]
+        assert any(len(trace.steps) >= 5 for _, trace in kept)
+
+    def test_table_bits_equal_from_scratch(self):
+        for model in identity_models(229):
+            subset = [item.id for item in model.evidence]
+            weights, _, _ = concatenated_arrays(model, subset)
+            acts = weights >= threshold(model.utilities, model.p_h).w_star
+            bits = np.packbits(acts, bitorder="little").tobytes()
+            assert compile_table(model, subset).action_bits == bits
+
+
+class TestCapMessages:
+    def test_greedy_enumeration_cap_message(self):
+        model = make_model([(0.8, 0.2), (0.7, 0.3)])
+        with pytest.raises(CapExceededError) as excinfo:
+            greedy_select(model, enum_cap=1)
+        assert str(excinfo.value) == (
+            "exact evaluation of 2 items exceeds the enumeration cap of 1; "
+            "switch to method='gaussian'"
+        )
+
+    def test_cli_cap_enum_4_exits_three(self, tmp_path, capsys):
+        # Free compilation: greedy takes a fifth item, which the cap refuses.
+        model = make_model([(0.9 - 0.02 * i, 0.3 + 0.01 * i) for i in range(12)])
+        assert len(greedy_select(model)[0]) > 4
+        path = tmp_path / "model.json"
+        path.write_text(sact.model_to_json(model))
+        for command, message in (
+            ("analyze", "subset of 12 items exceeds the enumeration cap of 4 "
+                        "(would require 2^12 assignments)"),
+            ("select", "exact evaluation of 5 items exceeds the enumeration cap of 4; "
+                       "switch to method='gaussian'"),
+        ):
+            assert sact.cli.main([command, str(path), "--cap-enum", "4"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"refused: {message}\n"
