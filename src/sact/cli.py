@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .errors import (
     CapExceededError,
@@ -22,16 +23,17 @@ from .errors import (
     ObservationError,
     UnknownEvidenceError,
 )
-from .exact import exact_ev_compute, exact_ev_subset, exhaustive_subset_search
+from .exact import exact_ev_subset, exhaustive_subset_search
 from .gaussian import LOW_N_THRESHOLD, gaussian_ev_subset
 from .model import (
     DiagnosisModel,
     UtilityTable,
     model_digest,
     model_from_json,
+    parse_json,
     validate_model,
 )
-from .niv import ComputePolicy, NivReport, TablePolicy, compare_policies, niv
+from .niv import ComputePolicy, NivReport, Policy, TablePolicy, compare_policies, niv
 from .profiles import (
     PRESETS,
     export_analysis,
@@ -39,7 +41,7 @@ from .profiles import (
     loss_curve,
     profile_from_dict,
 )
-from .table import compile_table, greedy_select, read_table, table_lookup, write_table
+from .table import SelectionTrace, compile_table, greedy_select, read_table, table_lookup, write_table
 from .tree import build_tree, export_tree, tree_from_json, tree_lookup, tree_niv
 
 EXIT_OK = 0
@@ -64,8 +66,15 @@ def _emit_json(document: object, out: str | None) -> None:
     _emit_text(json.dumps(document, indent=2, sort_keys=True) + "\n", out)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not valid UTF-8: {exc}") from None
+
+
 def _load_model(path: str) -> DiagnosisModel:
-    return model_from_json(Path(path).read_text(encoding="utf-8"))
+    return model_from_json(_read_text(path))
 
 
 def _load_valid_model(path: str) -> DiagnosisModel:
@@ -84,10 +93,7 @@ class _Invalid(Exception):
 
 
 def _load_observation(path: str) -> dict[str, bool]:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"observation file is not valid JSON: {exc}") from None
+    data = parse_json(_read_text(path), "observation file")
     if not isinstance(data, dict):
         raise FormatError("observation must be a JSON object of booleans")
     for key, value in data.items():
@@ -111,32 +117,36 @@ def _warn_low_n(model: DiagnosisModel, method: str) -> None:
         )
 
 
-def _compute_report(model: DiagnosisModel, method: str, enum_cap: int) -> NivReport:
-    ids = [item.id for item in model.evidence]
-    if method == "exact":
-        ev = exact_ev_compute(model, cap=enum_cap).ev
+def _policy_report(
+    model: DiagnosisModel, policy: Policy, subset: Sequence[str], args: argparse.Namespace
+) -> NivReport:
+    """The report of a policy that acts on ``subset``, valued by ``--method``."""
+    if args.method == "exact":
+        ev = exact_ev_subset(model, subset, cap=args.cap_enum).ev
     else:
-        ev = gaussian_ev_subset(model, ids).ev
-    return niv(model, ComputePolicy(len(ids)), ev, method=method)
+        ev = gaussian_ev_subset(model, subset).ev
+    return niv(model, policy, ev, method=args.method)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    model = _load_valid_model(args.model)
-    _warn_low_n(model, args.method)
-    compute_report = _compute_report(model, args.method, args.cap_enum)
-
-    subset, _ = greedy_select(
+def _greedy_select(
+    model: DiagnosisModel, args: argparse.Namespace
+) -> tuple[tuple[str, ...], SelectionTrace]:
+    return greedy_select(
         model,
         method=args.method,
         lookahead=args.lookahead,
         enum_cap=args.cap_enum,
         table_cap=args.cap_table,
     )
-    if args.method == "exact":
-        table_ev = exact_ev_subset(model, subset, cap=args.cap_enum).ev
-    else:
-        table_ev = gaussian_ev_subset(model, subset).ev
-    table_report = niv(model, TablePolicy(subset), table_ev, method=args.method)
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    model = _load_valid_model(args.model)
+    _warn_low_n(model, args.method)
+    ids = [item.id for item in model.evidence]
+    compute_report = _policy_report(model, ComputePolicy(len(ids)), ids, args)
+    subset, _ = _greedy_select(model, args)
+    table_report = _policy_report(model, TablePolicy(subset), subset, args)
 
     tree_report = None
     if args.method == "exact":
@@ -170,13 +180,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         )
         _emit_json({"subset": list(subset), "report": report.to_dict()}, args.out)
         return EXIT_OK
-    subset, trace = greedy_select(
-        model,
-        method=args.method,
-        lookahead=args.lookahead,
-        enum_cap=args.cap_enum,
-        table_cap=args.cap_table,
-    )
+    subset, trace = _greedy_select(model, args)
     document = {
         "subset": list(subset),
         "stopped_reason": trace.stopped_reason,
@@ -195,13 +199,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     if args.subset is not None:
         subset = [s for s in args.subset.split(",") if s]
     else:
-        subset, _ = greedy_select(
-            model,
-            method=args.method,
-            lookahead=args.lookahead,
-            enum_cap=args.cap_enum,
-            table_cap=args.cap_table,
-        )
+        subset, _ = _greedy_select(model, args)
         _note(f"selected subset: {list(subset)}")
     table = compile_table(model, subset, cap=args.cap_table)
     Path(args.out).write_bytes(write_table(table))
@@ -233,7 +231,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
         action = table_lookup(table, observation)
         consulted = list(table.subset)
     else:
-        tree = tree_from_json(Path(args.tree).read_text(encoding="utf-8"))
+        tree = tree_from_json(_read_text(args.tree))
         if tree.model_digest != digest:
             raise DigestMismatchError(f"tree {args.tree} was built from a different model")
         action, consulted = tree_lookup(tree, observation)
@@ -259,10 +257,7 @@ def cmd_proto(args: argparse.Namespace) -> int:
             profiles.append(PRESETS[name])
     if args.profile_file:
         for path in args.profile_file:
-            try:
-                data = json.loads(Path(path).read_text(encoding="utf-8"))
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"profile file {path} is not valid JSON: {exc}") from None
+            data = parse_json(_read_text(path), f"profile file {path}")
             profiles.append(profile_from_dict(data))
     if not profiles:
         profiles = [PRESETS["high"], PRESETS["moderate"], PRESETS["low"]]
@@ -378,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _Invalid:
         return EXIT_INVALID
-    except FormatError as exc:
-        _note(f"error: {exc}")
-        return EXIT_IO
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FormatError, OSError) as exc:
         _note(f"error: {exc}")
         return EXIT_IO
     except (CapExceededError, MethodError) as exc:

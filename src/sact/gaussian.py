@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import DiagnosisModel, Side, threshold
+from .model import DiagnosisModel, EvidenceVariable, Side, threshold, weight_pair
 from .exact import compose_ev, resolve_subset
 
 # Below this many summed items the normal approximation is considered poor;
@@ -61,33 +61,47 @@ def evidence_moments(alpha: float, beta: float) -> MomentSummary:
 
     and symmetrically with beta given not-H.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha = {alpha!r} must lie strictly inside (0, 1)")
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"beta = {beta!r} must lie strictly inside (0, 1)")
-    w_pos = math.log(alpha / beta)
-    w_neg = math.log((1.0 - alpha) / (1.0 - beta))
+    pair = weight_pair(alpha, beta)
     spread = math.log(alpha * (1.0 - beta) / (beta * (1.0 - alpha)))
     return MomentSummary(
-        mean_h=alpha * w_pos + (1.0 - alpha) * w_neg,
+        mean_h=alpha * pair.w_pos + (1.0 - alpha) * pair.w_neg,
         var_h=alpha * (1.0 - alpha) * spread * spread,
-        mean_nh=beta * w_pos + (1.0 - beta) * w_neg,
+        mean_nh=beta * pair.w_pos + (1.0 - beta) * pair.w_neg,
         var_nh=beta * (1.0 - beta) * spread * spread,
         n=1,
     )
 
 
+# A prefix's running sums of the fields of :class:`MomentSummary`, in order,
+# accumulated left to right over its items.
+Prefix = list[float]
+
+
+def empty_prefix() -> Prefix:
+    """Moment sums of the empty subset."""
+    return [0.0, 0.0, 0.0, 0.0, 0]
+
+
+def extend(prefix: Prefix, item: EvidenceVariable) -> None:
+    """Add one trailing item's moments to a prefix's sums, in place."""
+    m = evidence_moments(item.alpha, item.beta)
+    prefix[:] = [s + x for s, x in zip(prefix, (m.mean_h, m.var_h, m.mean_nh, m.var_nh, 1))]
+
+
+def act_probabilities(prefix: Prefix, item: EvidenceVariable, w_star: float) -> tuple[float, float]:
+    """Gaussian P(act | H) and P(act | not-H) of the prefix plus one trailing item."""
+    total = list(prefix)
+    extend(total, item)
+    moments = MomentSummary(*total)
+    return gaussian_tail(moments, w_star, "H"), gaussian_tail(moments, w_star, "notH")
+
+
 def sum_moments(model: DiagnosisModel, subset: Sequence[str]) -> MomentSummary:
     """Componentwise sums of per-item moments over a subset."""
-    mean_h = var_h = mean_nh = var_nh = 0.0
-    items = resolve_subset(model, subset)
-    for item in items:
-        m = evidence_moments(item.alpha, item.beta)
-        mean_h += m.mean_h
-        var_h += m.var_h
-        mean_nh += m.mean_nh
-        var_nh += m.var_nh
-    return MomentSummary(mean_h, var_h, mean_nh, var_nh, len(items))
+    prefix = empty_prefix()
+    for item in resolve_subset(model, subset):
+        extend(prefix, item)
+    return MomentSummary(*prefix)
 
 
 def normal_cdf(x: float) -> float:

@@ -375,12 +375,20 @@ def model_to_dict(model: DiagnosisModel) -> dict:
     }
 
 
-def model_from_json(text: str) -> DiagnosisModel:
+def parse_json(text: str, what: str) -> object:
+    """Parse a JSON document, raising :class:`FormatError` naming ``what``.
+
+    ``json.loads`` also raises a plain ``ValueError`` for an integer literal
+    over the interpreter's digit limit and ``RecursionError`` for deep nesting.
+    """
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model file is not valid JSON: {exc}") from None
-    return model_from_dict(data)
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
+
+
+def model_from_json(text: str) -> DiagnosisModel:
+    return model_from_dict(parse_json(text, "model file"))
 
 
 def model_to_json(model: DiagnosisModel) -> str:

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import CapExceededError, DomainError, FormatError
-from .exact import DEFAULT_ENUMERATION_CAP, exact_ev_subset
-from .gaussian import evidence_moments, gaussian_ev_subset
+from .exact import DEFAULT_ENUMERATION_CAP
+from .gaussian import empty_prefix, extend
 from .model import CostModel, DiagnosisModel, EvidenceVariable, UtilityTable
 from .niv import Method
+from .table import _evaluator
 
 Normalization = Literal["relative-to-compute", "range-normalized"]
 
@@ -207,18 +208,13 @@ def loss_curve(
     realized = realize_profile(profile)
     model = DiagnosisModel(p_h, tuple(realized), utilities, _ZERO_COSTS)
     ranking = topn_subset(realized, len(realized))
-    if method == "exact":
-        if len(realized) > enum_cap:
-            raise CapExceededError(
-                f"profile has {len(realized)} items, above the enumeration cap of "
-                f"{enum_cap}; use method='gaussian'"
-            )
-        values = [exact_ev_subset(model, ranking[:n], cap=enum_cap).ev
-                  for n in range(len(ranking) + 1)]
-    elif method == "gaussian":
-        values = [gaussian_ev_subset(model, ranking[:n]).ev for n in range(len(ranking) + 1)]
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    if method == "exact" and len(realized) > enum_cap:
+        raise CapExceededError(
+            f"profile has {len(realized)} items, above the enumeration cap of "
+            f"{enum_cap}; use method='gaussian'"
+        )
+    evaluate = _evaluator(model, method, enum_cap)
+    values = [evaluate(ranking[:n]) for n in range(len(ranking) + 1)]
     ev_compute = values[-1]
     if normalization == "relative-to-compute":
         if not (ev_compute > 0.0):
@@ -276,12 +272,9 @@ def export_moments(profiles: Sequence[WeightProfile]) -> str:
     for profile in profiles:
         realized = {item.id: item for item in realize_profile(profile)}
         ranking = topn_subset(list(realized.values()), len(realized))
-        mean_h = var_h = 0.0
+        prefix = empty_prefix()
         writer.writerow([profile.name, 0, _format(0.0), _format(0.0)])
         for n, evidence_id in enumerate(ranking, start=1):
-            item = realized[evidence_id]
-            moments = evidence_moments(item.alpha, item.beta)
-            mean_h += moments.mean_h
-            var_h += moments.var_h
-            writer.writerow([profile.name, n, _format(mean_h), _format(var_h)])
+            extend(prefix, realized[evidence_id])
+            writer.writerow([profile.name, n, _format(prefix[0]), _format(prefix[1])])
     return buffer.getvalue()

@@ -19,18 +19,9 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
+from . import exact, gaussian
 from .errors import CapExceededError, FormatError, MethodError, ObservationError
-from .exact import (
-    DEFAULT_ENUMERATION_CAP,
-    act_probabilities,
-    compose_ev,
-    empty_prefix,
-    exact_ev_subset,
-    extend,
-    resolve_subset,
-    weight_sums,
-)
-from .gaussian import gaussian_ev_subset
+from .exact import DEFAULT_ENUMERATION_CAP, compose_ev, resolve_subset, weight_sums
 from .model import Action, DiagnosisModel, Observation, model_digest, threshold
 from .niv import Method, TablePolicy, niv
 
@@ -94,38 +85,40 @@ class SelectionTrace:
 def _evaluator(
     model: DiagnosisModel, method: Method, enum_cap: int
 ) -> Callable[[Sequence[str]], float]:
-    if method == "exact":
-        # Rejects a model that repeats an id, as valuing a subset of it would.
-        items = resolve_subset(model, [item.id for item in model.evidence])
-        lookup = {item.id: item for item in items}
-        w_star = threshold(model.utilities, model.p_h).w_star
-        # The arrays of the subset's leading ``built`` items.  Greedy only
-        # appends to the subset it values, so they always form a prefix of it.
-        prefix = empty_prefix()
-        built = 0
+    """Expected value of acting on a subset, through ``method``'s prefix kernel.
 
-        def evaluate(subset: Sequence[str]) -> float:
-            nonlocal built
-            if len(subset) > enum_cap:
-                raise CapExceededError(
-                    f"exact evaluation of {len(subset)} items exceeds the enumeration "
-                    f"cap of {enum_cap}; switch to method='gaussian'"
-                )
-            if not subset:
-                return exact_ev_subset(model, subset, cap=enum_cap).ev
-            # Extended lazily, so the prefix is not extended past the last step.
-            for evidence_id in subset[built:-1]:
-                extend(prefix, lookup[evidence_id])
-            built = len(subset) - 1
-            return compose_ev(model, *act_probabilities(prefix, lookup[subset[-1]], w_star))
-
-    elif method == "gaussian":
-
-        def evaluate(subset: Sequence[str]) -> float:
-            return gaussian_ev_subset(model, subset).ev
-
-    else:
+    Callers only append to the subsets they value, so the prefix kept from
+    the last call is extended, never rebuilt.  Results are bit-identical to
+    ``exact_ev_subset`` and ``gaussian_ev_subset``.
+    """
+    kernel = {"exact": exact, "gaussian": gaussian}.get(method)
+    if kernel is None:
         raise MethodError(f"unknown method {method!r}")
+    # Rejects a model that repeats an id, as valuing a subset of it would.
+    items = resolve_subset(model, [item.id for item in model.evidence])
+    lookup = {item.id: item for item in items}
+    w_star = threshold(model.utilities, model.p_h).w_star
+    # The kernel's prefix of the subset's leading ``built`` items.
+    prefix = kernel.empty_prefix()
+    built = 0
+
+    def evaluate(subset: Sequence[str]) -> float:
+        nonlocal built
+        if method == "exact" and len(subset) > enum_cap:
+            raise CapExceededError(
+                f"exact evaluation of {len(subset)} items exceeds the enumeration "
+                f"cap of {enum_cap}; switch to method='gaussian'"
+            )
+        if not subset:
+            # The lone empty assignment sums to 0 with probability 1.
+            p_act = float(0.0 >= w_star)
+            return compose_ev(model, p_act, p_act)
+        # Extended lazily, so the prefix is not extended past the last step.
+        for evidence_id in subset[built:-1]:
+            kernel.extend(prefix, lookup[evidence_id])
+        built = len(subset) - 1
+        return compose_ev(model, *kernel.act_probabilities(prefix, lookup[subset[-1]], w_star))
+
     return evaluate
 
 

@@ -37,6 +37,7 @@ from .model import (
     WeightPair,
     model_digest,
     optimal_action,
+    parse_json,
     threshold,
     weight_pair,
 )
@@ -96,6 +97,15 @@ class BuildTrace:
     final_niv: float
 
 
+def _leaf_value(model: DiagnosisModel, p_path_h: float, p_path_nh: float, action: Action) -> float:
+    """A leaf's share of the expected value: path probability times utility, by hypothesis."""
+    u = model.utilities
+    p_h = model.p_h
+    if action is Action.ACT:
+        return p_h * p_path_h * u.u_h_d + (1.0 - p_h) * p_path_nh * u.u_nh_d
+    return p_h * p_path_h * u.u_h_nd + (1.0 - p_h) * p_path_nh * u.u_nh_nd
+
+
 def tree_ev(model: DiagnosisModel, tree: SituationActionTree) -> float:
     """Expected value of the actions the tree prescribes.
 
@@ -106,14 +116,10 @@ def tree_ev(model: DiagnosisModel, tree: SituationActionTree) -> float:
     model does not define.
     """
     lookup = model.evidence_map()
-    u = model.utilities
-    p_h = model.p_h
 
     def walk(node: Node, p_path_h: float, p_path_nh: float, used: frozenset[str]) -> float:
         if isinstance(node, Leaf):
-            if node.action is Action.ACT:
-                return p_h * p_path_h * u.u_h_d + (1.0 - p_h) * p_path_nh * u.u_nh_d
-            return p_h * p_path_h * u.u_h_nd + (1.0 - p_h) * p_path_nh * u.u_nh_nd
+            return _leaf_value(model, p_path_h, p_path_nh, node.action)
         if node.evidence_id in used:
             raise DomainError(f"evidence id {node.evidence_id!r} repeats along a path")
         try:
@@ -163,16 +169,9 @@ def build_tree(
             f"model has {len(model.evidence)} evidence items, above the tree cap of {cap}"
         )
     thr = threshold(model.utilities, model.p_h)
-    u = model.utilities
-    p_h = model.p_h
     node_cost = model.costs.k5 * model.costs.k6
     r = model.costs.r
     candidates = [(item, weight_pair(item.alpha, item.beta)) for item in model.evidence]
-
-    def contribution(p_path_h: float, p_path_nh: float, action: Action) -> float:
-        if action is Action.ACT:
-            return p_h * p_path_h * u.u_h_d + (1.0 - p_h) * p_path_nh * u.u_nh_d
-        return p_h * p_path_h * u.u_h_nd + (1.0 - p_h) * p_path_nh * u.u_nh_nd
 
     def grow(
         p_path_h: float,
@@ -182,17 +181,19 @@ def build_tree(
         tolerance: int,
     ) -> tuple[Node, float, list[tuple[str, float]]]:
         action = optimal_action(w_path, thr)
-        base = contribution(p_path_h, p_path_nh, action)
+        base = _leaf_value(model, p_path_h, p_path_nh, action)
         # (dniv, dev, item, pair)
         best: tuple[float, float, EvidenceVariable, WeightPair] | None = None
         for item, pair in candidates:
             if item.id in used:
                 continue
-            split_ev = contribution(
+            split_ev = _leaf_value(
+                model,
                 p_path_h * item.alpha,
                 p_path_nh * item.beta,
                 optimal_action(w_path + pair.w_pos, thr),
-            ) + contribution(
+            ) + _leaf_value(
+                model,
                 p_path_h * (1.0 - item.alpha),
                 p_path_nh * (1.0 - item.beta),
                 optimal_action(w_path + pair.w_neg, thr),
@@ -242,7 +243,7 @@ def build_tree(
         return Leaf(action), 0.0, []
 
     null_action = optimal_action(0.0, thr)
-    initial_niv = r * contribution(1.0, 1.0, null_action) - node_cost
+    initial_niv = r * _leaf_value(model, 1.0, 1.0, null_action) - node_cost
     root, _, events = grow(1.0, 1.0, 0.0, frozenset(), lookahead)
 
     steps = []
@@ -350,10 +351,7 @@ def export_tree(tree: SituationActionTree, format: Literal["json", "dot"] = "jso
 
 def tree_from_json(text: str) -> SituationActionTree:
     """Parse a JSON tree document, verifying structure and node count."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"tree file is not valid JSON: {exc}") from None
+    data = parse_json(text, "tree file")
     if not isinstance(data, dict):
         raise FormatError("tree document must be an object")
     if data.get("format") != TREE_FORMAT:

@@ -67,6 +67,36 @@ def test_missing_file_exits_two(workspace):
     assert result.returncode == 2
 
 
+def test_non_utf8_file_exits_two(workspace):
+    (workspace / "bom.json").write_bytes(b"\xff\xfe{}")
+    result = run_sact("validate", "bom.json", cwd=workspace)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: bom.json is not valid UTF-8: ")
+
+
+def test_integer_over_the_digit_limit_exits_two(workspace):
+    text = json.dumps(M1).replace('"r": 1', '"r": ' + "9" * 5000)
+    (workspace / "long.json").write_text(text)
+    result = run_sact("validate", "long.json", cwd=workspace)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: model file is not valid JSON: ")
+
+
+def test_deeply_nested_tree_exits_two(workspace):
+    node = '{"action": "D"}'
+    for _ in range(3000):
+        node = f'{{"test": "e1", "if_true": {node}, "if_false": {{"action": "D"}}}}'
+    (workspace / "deep.json").write_text(
+        f'{{"format": "sact-tree", "version": 1, "model_digest": "{"00" * 32}", '
+        f'"node_count": 6001, "root": {node}}}'
+    )
+    (workspace / "obs.json").write_text(json.dumps({"e1": True}))
+    result = run_sact("lookup", "m1.json", "--tree", "deep.json", "--obs", "obs.json",
+                      cwd=workspace)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: tree file is not valid JSON: ")
+
+
 def test_analyze_structure_and_tie(workspace):
     result = run_sact("analyze", "m1.json", cwd=workspace)
     assert result.returncode == 0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from sact import (
     weight_pair,
 )
 
-from helpers import m1, make_model
+from helpers import m1, make_model, random_model
 
 
 def quadrature_cdf(x: float) -> float:
@@ -89,6 +90,23 @@ class TestSumMoments:
         assert total.mean_h == pytest.approx(2 * single.mean_h, abs=1e-12)
         assert total.var_h == pytest.approx(2 * single.var_h, abs=1e-12)
         assert total.n == 2
+
+    def test_equals_a_left_to_right_sum_of_item_moments(self):
+        rng = random.Random(233)
+        for m in (1, 2, 7, 40):
+            model = random_model(rng, m)
+            ids = [item.id for item in model.evidence]
+            rng.shuffle(ids)
+            lookup = model.evidence_map()
+            mean_h = var_h = mean_nh = var_nh = 0.0
+            for evidence_id in ids:
+                item = evidence_moments(lookup[evidence_id].alpha, lookup[evidence_id].beta)
+                mean_h += item.mean_h
+                var_h += item.var_h
+                mean_nh += item.mean_nh
+                var_nh += item.var_nh
+            expected = MomentSummary(mean_h, var_h, mean_nh, var_nh, m)
+            assert sum_moments(model, ids) == expected
 
     def test_zero_moment_item_adds_nothing(self):
         model = make_model([(0.8, 0.2), (0.5, 0.5)])

@@ -7,22 +7,25 @@ import pytest
 
 from sact import (
     CapExceededError,
+    DiagnosisModel,
     DomainError,
     FormatError,
     PRESETS,
     UtilityTable,
     WeightProfile,
     evidence_moments,
+    exact_ev_subset,
     export_analysis,
     export_moments,
+    gaussian_ev_subset,
     loss_curve,
     realize_profile,
     topn_subset,
     weight_pair,
 )
-from sact.profiles import profile_from_dict
+from sact.profiles import LossRow, profile_from_dict
 
-from helpers import SYMMETRIC_UTILITIES
+from helpers import SYMMETRIC_UTILITIES, ZERO_COSTS
 
 
 class TestRealizeProfile:
@@ -177,6 +180,30 @@ class TestLossCurve:
         }
         for low, high in zip(curves["weaker"].rows, curves["stronger"].rows):
             assert low.fractional_loss >= high.fractional_loss - 1e-9
+
+    @pytest.mark.parametrize(
+        "method, profile",
+        [
+            ("exact", WeightProfile.explicit("small", [0.3, 1.2, 0.7, 2.0, 0.7, 1.5, 0.1, 0.7])),
+            ("gaussian", PRESETS["high"]),
+            ("gaussian", PRESETS["moderate"]),
+            ("gaussian", PRESETS["low"]),
+        ],
+        ids=["exact-small", "gaussian-high", "gaussian-moderate", "gaussian-low"],
+    )
+    def test_rows_equal_per_row_valuation(self, method, profile):
+        items = realize_profile(profile)
+        ranking = topn_subset(items, len(items))
+        valuation = exact_ev_subset if method == "exact" else gaussian_ev_subset
+        for p_h in (0.5, 0.35):
+            model = DiagnosisModel(p_h, tuple(items), SYMMETRIC_UTILITIES, ZERO_COSTS)
+            values = [valuation(model, ranking[:n]).ev for n in range(len(ranking) + 1)]
+            compute = values[-1]
+            expected = tuple(
+                LossRow(n, value, compute, (compute - value) / compute)
+                for n, value in enumerate(values)
+            )
+            assert loss_curve(profile, p_h, SYMMETRIC_UTILITIES, method=method).rows == expected
 
     def test_moments_grow_strictly_along_the_ranking(self):
         items = realize_profile(PRESETS["moderate"])

@@ -14,6 +14,7 @@ from sact import (
     compile_table,
     exact_ev_subset,
     exhaustive_subset_search,
+    gaussian_ev_subset,
     greedy_select,
     niv,
     optimal_action,
@@ -273,16 +274,21 @@ class TestPrefixKernelBitIdentity:
     """Greedy selection and table bits against full arrays enumerated from
     scratch, compared with ``==``."""
 
+    @pytest.mark.parametrize("method", ["exact", "gaussian"])
     @pytest.mark.parametrize("lookahead", [0, 1, 2])
-    def test_greedy_equals_from_scratch_valuation(self, monkeypatch, lookahead):
+    def test_greedy_equals_from_scratch_valuation(self, monkeypatch, lookahead, method):
         models = list(identity_models(229))
-        kept = [greedy_select(model, lookahead=lookahead) for model in models]
-        # The same hill-climb with every candidate valued from scratch.
+        kept = [greedy_select(model, method=method, lookahead=lookahead) for model in models]
+        # The same hill-climb with every candidate valued from scratch: on
+        # the full 2^n arrays, or on the moments summed over the subset.
         def from_scratch(model, method, enum_cap):
-            return lambda subset: from_scratch_evaluation(model, subset)[0]
+            if method == "exact":
+                return lambda subset: from_scratch_evaluation(model, subset)[0]
+            return lambda subset: gaussian_ev_subset(model, subset).ev
 
         monkeypatch.setattr(sact.table, "_evaluator", from_scratch)
-        assert kept == [greedy_select(model, lookahead=lookahead) for model in models]
+        again = [greedy_select(model, method=method, lookahead=lookahead) for model in models]
+        assert kept == again
         assert any(len(trace.steps) >= 5 for _, trace in kept)
 
     def test_table_bits_equal_from_scratch(self):
