@@ -16,18 +16,9 @@ from .errors import (
     SactError,
     UnknownEvidenceError,
 )
-from .exact import (
-    ExactEvaluation,
-    exact_ev_compute,
-    exact_ev_subset,
-    exact_tail,
-    exhaustive_subset_search,
-)
 from .gaussian import (
-    GaussianEvaluation,
     MomentSummary,
     evidence_moments,
-    gaussian_ev_subset,
     gaussian_tail,
     normal_cdf,
     sum_moments,
@@ -77,9 +68,15 @@ from .profiles import (
 )
 from .table import (
     CompiledTable,
+    ExactEvaluation,
+    GaussianEvaluation,
     SelectionStep,
     SelectionTrace,
     compile_table,
+    exact_ev_compute,
+    exact_ev_subset,
+    exhaustive_subset_search,
+    gaussian_ev_subset,
     greedy_select,
     read_table,
     table_lookup,

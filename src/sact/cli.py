@@ -23,8 +23,8 @@ from .errors import (
     ObservationError,
     UnknownEvidenceError,
 )
-from .exact import exact_ev_subset, exhaustive_subset_search
-from .gaussian import LOW_N_THRESHOLD, gaussian_ev_subset
+from .exact import DEFAULT_ENUMERATION_CAP
+from .gaussian import LOW_N_THRESHOLD
 from .model import (
     DiagnosisModel,
     UtilityTable,
@@ -41,8 +41,20 @@ from .profiles import (
     loss_curve,
     profile_from_dict,
 )
-from .table import SelectionTrace, compile_table, greedy_select, read_table, table_lookup, write_table
-from .tree import build_tree, export_tree, tree_from_json, tree_lookup, tree_niv
+from .table import (
+    DEFAULT_SEARCH_CAP,
+    DEFAULT_TABLE_CAP,
+    SelectionTrace,
+    compile_table,
+    exact_ev_subset,
+    exhaustive_subset_search,
+    gaussian_ev_subset,
+    greedy_select,
+    read_table,
+    table_lookup,
+    write_table,
+)
+from .tree import DEFAULT_TREE_CAP, build_tree, export_tree, tree_from_json, tree_lookup, tree_niv
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -288,9 +300,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, method_default: str = 
     parser.add_argument("--method", choices=["exact", "gaussian"], default=method_default)
     parser.add_argument("--lookahead", type=int, default=0,
                         help="tolerated run of non-improving hill-climb steps")
-    parser.add_argument("--cap-enum", type=int, default=25,
+    parser.add_argument("--cap-enum", type=int, default=DEFAULT_ENUMERATION_CAP,
                         help="largest subset the exact oracle will enumerate")
-    parser.add_argument("--cap-table", type=int, default=25,
+    parser.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP,
                         help="largest subset a table may be compiled over")
 
 
@@ -309,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compare computing against the best found compilation")
     _add_model_argument(p)
     _add_common_flags(p)
-    p.add_argument("--cap-tree", type=int, default=20)
+    p.add_argument("--cap-tree", type=int, default=DEFAULT_TREE_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
@@ -318,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--exhaustive", action="store_true",
                    help="search all subsets instead of hill-climbing")
-    p.add_argument("--cap-exhaustive", type=int, default=15)
+    p.add_argument("--cap-exhaustive", type=int, default=DEFAULT_SEARCH_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_select)
 
@@ -332,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="build a situation-action tree and export it")
     _add_model_argument(p)
     p.add_argument("--lookahead", type=int, default=0)
-    p.add_argument("--cap-tree", type=int, default=20)
+    p.add_argument("--cap-tree", type=int, default=DEFAULT_TREE_CAP)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tree)
@@ -358,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalization",
                    choices=["relative-to-compute", "range-normalized"],
                    default="relative-to-compute")
-    p.add_argument("--cap-enum", type=int, default=25)
+    p.add_argument("--cap-enum", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--out")
     p.add_argument("--moments-out")
     p.set_defaults(func=cmd_proto)

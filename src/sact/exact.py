@@ -1,51 +1,30 @@
-"""Ground-truth policy evaluation by exhaustive enumeration of evidence assignments.
+"""Exact prefix kernel: enumeration of every truth assignment of an evidence subset.
 
-Everything here enumerates all 2^n truth assignments of a chosen evidence
-subset, so results are exact up to floating-point rounding.  The Gaussian
-approximation and both compilers are tested against this module.
+Results are exact up to floating-point rounding; the Gaussian approximation
+and both compilers are tested against them.
 
 Index convention (shared with the table compiler): assignments are numbered
 0 .. 2^n - 1 and bit i of the index, least significant first, is the truth
 value of ``subset[i]``.
 
-One kernel does all the enumeration.  :func:`extend` appends one item to a
-prefix's arrays, and :func:`act_probabilities` values the prefix plus one
-more item without building that item's arrays.  A subset is valued from the
-prefix without its last item, greedy selection keeps the prefix it has
-chosen, and exhaustive search walks subsets depth first, each child
-extending its parent's prefix.  Every weight sum is still accumulated left
-to right over the subset, so all results are bit-identical to enumerating
-each subset from scratch.
+:func:`extend` appends one item to a prefix's arrays, and
+:func:`act_probabilities` values the prefix plus one more item without
+building that item's arrays.  :mod:`sact.table` values every subset through
+this kernel, extending one prefix.  Every weight sum is still accumulated
+left to right over the subset, so all results are bit-identical to
+enumerating each subset from scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, DomainError, UnknownEvidenceError
-from .model import DiagnosisModel, EvidenceVariable, Side, threshold, weight_pair
-from .niv import NivReport, TablePolicy, niv
+from .errors import CapExceededError, UnknownEvidenceError
+from .model import DiagnosisModel, EvidenceVariable, weight_pair
 
 DEFAULT_ENUMERATION_CAP = 25
-DEFAULT_SEARCH_CAP = 15
-
-
-@dataclass(frozen=True)
-class ExactEvaluation:
-    """Expected value and action probabilities of a committed policy.
-
-    ``ev`` recomposes from the other fields as
-    ``(p_act_given_h*u_h_d + (1-p_act_given_h)*u_h_nd) * p_h
-    + (p_act_given_nh*u_nh_d + (1-p_act_given_nh)*u_nh_nd) * (1-p_h)``.
-    """
-
-    ev: float
-    p_act_given_h: float
-    p_act_given_nh: float
-    enumerated_count: int
 
 
 def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[EvidenceVariable]:
@@ -63,7 +42,7 @@ def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[Evidenc
     return out
 
 
-def _check_enumeration_cap(n: int, cap: int) -> None:
+def check_enumeration_cap(n: int, cap: int) -> None:
     if n > cap:
         raise CapExceededError(
             f"subset of {n} items exceeds the enumeration cap of {cap} "
@@ -126,36 +105,16 @@ def act_probabilities(
     return acting_mass(p_given_h, item.alpha), acting_mass(p_given_nh, item.beta)
 
 
-def assignment_arrays(
-    model: DiagnosisModel, subset: Sequence[str], *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-assignment weight sums and probabilities for a subset.
-
-    Returns three arrays of length 2^n indexed by the assignment convention
-    above: the summed evidence weight, the assignment probability given H,
-    and the assignment probability given not-H.
-
-    Entries are built by extending the arrays one evidence item at a time, so
-    every entry is bit-identical to a sequential left-to-right accumulation
-    over the subset; probabilities are running products in linear space.
-    """
-    weights, p_given_h, p_given_nh = _enumerate(model, subset, cap, empty_prefix())
-    return weights, p_given_h, p_given_nh
-
-
 def weight_sums(
     model: DiagnosisModel, subset: Sequence[str], *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> np.ndarray:
-    """The weight-sum array of :func:`assignment_arrays`, without the probabilities."""
-    return _enumerate(model, subset, cap, [np.zeros(1)])[0]
-
-
-def _enumerate(model: DiagnosisModel, subset: Sequence[str], cap: int, prefix: Prefix) -> Prefix:
+    """Summed evidence weight of every assignment of a subset, in index order."""
     items = resolve_subset(model, subset)
-    _check_enumeration_cap(len(items), cap)
+    check_enumeration_cap(len(items), cap)
+    prefix = [np.zeros(1)]
     for item in items:
         extend(prefix, item)
-    return prefix
+    return prefix[0]
 
 
 def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: float) -> float:
@@ -164,107 +123,3 @@ def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: floa
     return (p_act_given_h * u.u_h_d + (1.0 - p_act_given_h) * u.u_h_nd) * model.p_h + (
         p_act_given_nh * u.u_nh_d + (1.0 - p_act_given_nh) * u.u_nh_nd
     ) * (1.0 - model.p_h)
-
-
-def exact_ev_subset(
-    model: DiagnosisModel, subset: Sequence[str], *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ExactEvaluation:
-    """Exact expected value of acting on a compiled evidence subset.
-
-    Enumerates every assignment of the subset, decides each by the threshold
-    rule, and accumulates the probability of acting under each hypothesis.
-    Only the arrays of the subset without its last item are built.
-    """
-    items = resolve_subset(model, subset)
-    _check_enumeration_cap(len(items), cap)
-    prefix = empty_prefix()
-    for item in items[:-1]:
-        extend(prefix, item)
-    w_star = threshold(model.utilities, model.p_h).w_star
-    if items:
-        p_act_h, p_act_nh = act_probabilities(prefix, items[-1], w_star)
-    else:
-        # The lone empty assignment sums to 0 with probability 1.
-        p_act_h = p_act_nh = float(0.0 >= w_star)
-    return ExactEvaluation(
-        ev=compose_ev(model, p_act_h, p_act_nh),
-        p_act_given_h=p_act_h,
-        p_act_given_nh=p_act_nh,
-        enumerated_count=1 << len(items),
-    )
-
-
-def exact_ev_compute(model: DiagnosisModel, *, cap: int = DEFAULT_ENUMERATION_CAP) -> ExactEvaluation:
-    """Exact expected value of the run-time compute policy (all evidence)."""
-    return exact_ev_subset(model, [item.id for item in model.evidence], cap=cap)
-
-
-def exact_tail(
-    model: DiagnosisModel,
-    subset: Sequence[str],
-    w_star: float,
-    given: Side,
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> float:
-    """Exact probability that the subset's weight sum reaches ``w_star``.
-
-    The boundary is inclusive, matching the action convention.
-    """
-    if given not in ("H", "notH"):
-        raise DomainError(f"given must be 'H' or 'notH', not {given!r}")
-    weights, p_given_h, p_given_nh = assignment_arrays(model, subset, cap=cap)
-    probabilities = p_given_h if given == "H" else p_given_nh
-    return float(probabilities[weights >= w_star].sum())
-
-
-def exhaustive_subset_search(
-    model: DiagnosisModel,
-    *,
-    cap: int = DEFAULT_SEARCH_CAP,
-    eval_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> tuple[tuple[str, ...], NivReport]:
-    """Best evidence subset to compile, by net inferential value, over all 2^m subsets.
-
-    Ties are broken toward the smaller subset, then lexicographically by the
-    id tuple.  Candidate subsets keep the model's evidence order.
-
-    Subsets are walked depth first: each child is its parent plus one later
-    item, valued on the parent's arrays.  The winner is the maximum of a
-    total order on (NIV, then smaller (size, ids)), so it does not depend on
-    the walk order.
-    """
-    ids = [item.id for item in model.evidence]
-    if len(ids) > cap:
-        raise CapExceededError(
-            f"model has {len(ids)} evidence items, above the exhaustive search cap of {cap}"
-        )
-    # Rejects a model that repeats an id, as valuing a subset of it would.
-    items = resolve_subset(model, ids)
-    best: tuple[tuple[str, ...], NivReport] | None = None
-
-    def consider(subset: tuple[str, ...], ev: float) -> None:
-        nonlocal best
-        report = niv(model, TablePolicy(subset), ev, method="exact")
-        if (
-            best is None
-            or report.niv > best[1].niv
-            or (report.niv == best[1].niv and (len(subset), subset) < (len(best[0]), best[0]))
-        ):
-            best = (subset, report)
-
-    def visit(parent: tuple[str, ...], prefix: Prefix, start: int) -> None:
-        for j in range(start, len(items)):
-            subset = parent + (items[j].id,)
-            _check_enumeration_cap(len(subset), eval_cap)
-            consider(subset, compose_ev(model, *act_probabilities(prefix, items[j], w_star)))
-            if j + 1 < len(items):
-                child = list(prefix)
-                extend(child, items[j])
-                visit(subset, child, j + 1)
-
-    consider((), exact_ev_subset(model, (), cap=eval_cap).ev)
-    w_star = threshold(model.utilities, model.p_h).w_star
-    visit((), empty_prefix(), 0)
-    assert best is not None
-    return best

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import DiagnosisModel, EvidenceVariable, Side, threshold, weight_pair
-from .exact import compose_ev, resolve_subset
+from .model import DiagnosisModel, EvidenceVariable, Side, weight_pair
+from .exact import resolve_subset
 
 # Below this many summed items the normal approximation is considered poor;
 # results carry an advisory flag recommending the exact oracle.
@@ -33,22 +33,6 @@ class MomentSummary:
     mean_nh: float
     var_nh: float
     n: int
-
-
-@dataclass(frozen=True)
-class GaussianEvaluation:
-    """Gaussian counterpart of an exact policy evaluation.
-
-    ``low_n`` flags results summed over fewer than ``LOW_N_THRESHOLD`` items,
-    where the central-limit approximation is unreliable and the exact oracle
-    should be preferred.
-    """
-
-    ev: float
-    p_act_given_h: float
-    p_act_given_nh: float
-    n: int
-    low_n: bool
 
 
 def evidence_moments(alpha: float, beta: float) -> MomentSummary:
@@ -133,22 +117,3 @@ def gaussian_tail(moments: MomentSummary, w_star: float, given: Side) -> float:
     if var == 0.0:
         return 1.0 if mean >= w_star else 0.0
     return normal_cdf((mean - w_star) / math.sqrt(var))
-
-
-def gaussian_ev_subset(model: DiagnosisModel, subset: Sequence[str]) -> GaussianEvaluation:
-    """Gaussian estimate of the expected value of acting on a compiled subset.
-
-    Plugs the two Gaussian tail probabilities into the same expected-value
-    composition the exact oracle uses.
-    """
-    moments = sum_moments(model, subset)
-    thr = threshold(model.utilities, model.p_h)
-    p_act_h = gaussian_tail(moments, thr.w_star, "H")
-    p_act_nh = gaussian_tail(moments, thr.w_star, "notH")
-    return GaussianEvaluation(
-        ev=compose_ev(model, p_act_h, p_act_nh),
-        p_act_given_h=p_act_h,
-        p_act_given_nh=p_act_nh,
-        n=moments.n,
-        low_n=moments.n < LOW_N_THRESHOLD,
-    )

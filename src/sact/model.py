@@ -17,6 +17,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Literal, Mapping
 
 from .errors import DomainError, FormatError, UnknownEvidenceError
@@ -97,8 +99,16 @@ class DiagnosisModel:
     utilities: UtilityTable
     costs: CostModel
 
-    def evidence_map(self) -> dict[str, EvidenceVariable]:
+    @cached_property
+    def _evidence_by_id(self) -> dict[str, EvidenceVariable]:
         return {item.id: item for item in self.evidence}
+
+    def evidence_map(self) -> Mapping[str, EvidenceVariable]:
+        """Read-only id -> item map, built once per model; a repeated id maps
+        to its last item."""
+        # The proxy is made per call: a cached one would make the model
+        # unpicklable.
+        return MappingProxyType(self._evidence_by_id)
 
 
 @dataclass(frozen=True)
@@ -322,6 +332,21 @@ def _number(value: object, where: str) -> float:
     return number
 
 
+def utf8_string(value: object, where: str) -> str:
+    """A string field that can be written back out as UTF-8.
+
+    ``json.loads`` accepts lone surrogates such as ``"\\ud800"``, which no
+    output file or stdout can encode.
+    """
+    if not isinstance(value, str):
+        raise FormatError(f"{where}: expected a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"{where}: cannot be written as UTF-8: {exc}") from None
+    return value
+
+
 def model_from_dict(data: Mapping) -> DiagnosisModel:
     """Build a model from its canonical JSON object form.
 
@@ -335,11 +360,9 @@ def model_from_dict(data: Mapping) -> DiagnosisModel:
     evidence = []
     for i, entry in enumerate(raw_evidence):
         _require_keys(entry, _EVIDENCE_KEYS, f"evidence[{i}]")
-        if not isinstance(entry["id"], str):
-            raise FormatError(f"evidence[{i}].id: expected a string")
         evidence.append(
             EvidenceVariable(
-                entry["id"],
+                utf8_string(entry["id"], f"evidence[{i}].id"),
                 _number(entry["alpha"], f"evidence[{i}].alpha"),
                 _number(entry["beta"], f"evidence[{i}].beta"),
             )

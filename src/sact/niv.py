@@ -136,7 +136,7 @@ def niv(model: DiagnosisModel, policy: Policy, ev: float, *, method: Method) -> 
                 f"{len(model.evidence)}"
             )
     elif isinstance(policy, TablePolicy):
-        known = {item.id for item in model.evidence}
+        known = model.evidence_map()
         for evidence_id in policy.subset:
             if evidence_id not in known:
                 raise UnknownEvidenceError(f"unknown evidence id {evidence_id!r}")

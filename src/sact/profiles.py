@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import CapExceededError, DomainError, FormatError
-from .exact import DEFAULT_ENUMERATION_CAP
+from .exact import DEFAULT_ENUMERATION_CAP, compose_ev
 from .gaussian import empty_prefix, extend
-from .model import CostModel, DiagnosisModel, EvidenceVariable, UtilityTable
+from .model import CostModel, DiagnosisModel, EvidenceVariable, UtilityTable, utf8_string
 from .niv import Method
 from .table import _evaluator
 
@@ -87,8 +87,7 @@ def profile_from_dict(data: object) -> WeightProfile:
         expected = {"name", "kind", "intercept", "slope", "w_max", "count"}
         if set(data) != expected:
             raise FormatError(f"linear-decay profile keys must be exactly {sorted(expected)}")
-        if not isinstance(data["name"], str):
-            raise FormatError("profile.name: expected a string")
+        name = utf8_string(data["name"], "profile.name")
         if isinstance(data["count"], bool) or not isinstance(data["count"], int):
             raise FormatError("profile.count: expected an integer")
         numbers = {}
@@ -97,13 +96,12 @@ def profile_from_dict(data: object) -> WeightProfile:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise FormatError(f"profile.{key}: expected a number")
             numbers[key] = float(value)
-        return WeightProfile.linear_decay(data["name"], count=data["count"], **numbers)
+        return WeightProfile.linear_decay(name, count=data["count"], **numbers)
     if kind == "explicit":
         expected = {"name", "kind", "weights"}
         if set(data) != expected:
             raise FormatError(f"explicit profile keys must be exactly {sorted(expected)}")
-        if not isinstance(data["name"], str):
-            raise FormatError("profile.name: expected a string")
+        name = utf8_string(data["name"], "profile.name")
         if not isinstance(data["weights"], list):
             raise FormatError("profile.weights: expected an array")
         weights = []
@@ -111,7 +109,7 @@ def profile_from_dict(data: object) -> WeightProfile:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise FormatError(f"profile.weights[{i}]: expected a number")
             weights.append(float(value))
-        return WeightProfile.explicit(data["name"], weights)
+        return WeightProfile.explicit(name, weights)
     raise FormatError(f"profile.kind must be 'linear-decay' or 'explicit', got {kind!r}")
 
 
@@ -214,7 +212,7 @@ def loss_curve(
             f"{enum_cap}; use method='gaussian'"
         )
     evaluate = _evaluator(model, method, enum_cap)
-    values = [evaluate(ranking[:n]) for n in range(len(ranking) + 1)]
+    values = [compose_ev(model, *evaluate(ranking[:n])) for n in range(len(ranking) + 1)]
     ev_compute = values[-1]
     if normalization == "relative-to-compute":
         if not (ev_compute > 0.0):

@@ -1,4 +1,11 @@
-"""Greedy subset selection and compiled 2^n action tables.
+"""Subset valuation, subset selection and compiled 2^n action tables.
+
+One evaluator values every subset: :func:`_evaluator` turns a subset into
+P(act | H) and P(act | not-H) through the chosen method's prefix kernel
+(:mod:`sact.exact` or :mod:`sact.gaussian`), and callers compose the
+expected value with :func:`~sact.exact.compose_ev`.  The exact and Gaussian
+valuations of one subset, greedy selection and loss curves all go through
+it; exhaustive search walks its own tree of prefixes, because it branches.
 
 The compiler enumerates every assignment of a chosen evidence subset, decides
 each with the threshold rule, and packs the decisions into a bit array whose
@@ -21,16 +28,55 @@ import numpy as np
 
 from . import exact, gaussian
 from .errors import CapExceededError, FormatError, MethodError, ObservationError
-from .exact import DEFAULT_ENUMERATION_CAP, compose_ev, resolve_subset, weight_sums
+from .exact import (
+    DEFAULT_ENUMERATION_CAP,
+    check_enumeration_cap,
+    compose_ev,
+    resolve_subset,
+    weight_sums,
+)
+from .gaussian import LOW_N_THRESHOLD
 from .model import Action, DiagnosisModel, Observation, model_digest, threshold
-from .niv import Method, TablePolicy, niv
+from .niv import Method, NivReport, TablePolicy, niv
 
 DEFAULT_TABLE_CAP = 25
+DEFAULT_SEARCH_CAP = 15
 
 MAGIC = b"SACT"
 FORMAT_VERSION = 1
 
 StopReason = Literal["no-improvement", "all-selected", "cap"]
+
+
+@dataclass(frozen=True)
+class ExactEvaluation:
+    """Expected value and action probabilities of a committed policy.
+
+    ``ev`` recomposes from the other fields as
+    ``(p_act_given_h*u_h_d + (1-p_act_given_h)*u_h_nd) * p_h
+    + (p_act_given_nh*u_nh_d + (1-p_act_given_nh)*u_nh_nd) * (1-p_h)``.
+    """
+
+    ev: float
+    p_act_given_h: float
+    p_act_given_nh: float
+    enumerated_count: int
+
+
+@dataclass(frozen=True)
+class GaussianEvaluation:
+    """Gaussian counterpart of an exact policy evaluation.
+
+    ``low_n`` flags results summed over fewer than ``LOW_N_THRESHOLD`` items,
+    where the central-limit approximation is unreliable and the exact oracle
+    should be preferred.
+    """
+
+    ev: float
+    p_act_given_h: float
+    p_act_given_nh: float
+    n: int
+    low_n: bool
 
 
 @dataclass(frozen=True)
@@ -83,26 +129,24 @@ class SelectionTrace:
 
 
 def _evaluator(
-    model: DiagnosisModel, method: Method, enum_cap: int
-) -> Callable[[Sequence[str]], float]:
-    """Expected value of acting on a subset, through ``method``'s prefix kernel.
+    model: DiagnosisModel, method: Method, enum_cap: int = DEFAULT_ENUMERATION_CAP
+) -> Callable[[Sequence[str]], tuple[float, float]]:
+    """P(act | H) and P(act | not-H) of a subset, through ``method``'s prefix kernel.
 
     Callers only append to the subsets they value, so the prefix kept from
-    the last call is extended, never rebuilt.  Results are bit-identical to
-    ``exact_ev_subset`` and ``gaussian_ev_subset``.
+    the last call is extended, never rebuilt.  Every weight or moment sum is
+    still accumulated left to right over the subset.
     """
     kernel = {"exact": exact, "gaussian": gaussian}.get(method)
     if kernel is None:
         raise MethodError(f"unknown method {method!r}")
-    # Rejects a model that repeats an id, as valuing a subset of it would.
-    items = resolve_subset(model, [item.id for item in model.evidence])
-    lookup = {item.id: item for item in items}
+    lookup = model.evidence_map()
     w_star = threshold(model.utilities, model.p_h).w_star
     # The kernel's prefix of the subset's leading ``built`` items.
     prefix = kernel.empty_prefix()
     built = 0
 
-    def evaluate(subset: Sequence[str]) -> float:
+    def evaluate(subset: Sequence[str]) -> tuple[float, float]:
         nonlocal built
         if method == "exact" and len(subset) > enum_cap:
             raise CapExceededError(
@@ -112,14 +156,99 @@ def _evaluator(
         if not subset:
             # The lone empty assignment sums to 0 with probability 1.
             p_act = float(0.0 >= w_star)
-            return compose_ev(model, p_act, p_act)
+            return p_act, p_act
         # Extended lazily, so the prefix is not extended past the last step.
         for evidence_id in subset[built:-1]:
             kernel.extend(prefix, lookup[evidence_id])
         built = len(subset) - 1
-        return compose_ev(model, *kernel.act_probabilities(prefix, lookup[subset[-1]], w_star))
+        return kernel.act_probabilities(prefix, lookup[subset[-1]], w_star)
 
     return evaluate
+
+
+def exact_ev_subset(
+    model: DiagnosisModel, subset: Sequence[str], *, cap: int = DEFAULT_ENUMERATION_CAP
+) -> ExactEvaluation:
+    """Exact expected value of acting on a compiled evidence subset.
+
+    Enumerates every assignment of the subset, decides each by the threshold
+    rule, and accumulates the probability of acting under each hypothesis.
+    Only the arrays of the subset without its last item are built.
+    """
+    n = len(resolve_subset(model, subset))
+    check_enumeration_cap(n, cap)
+    p_act_h, p_act_nh = _evaluator(model, "exact", cap)(subset)
+    return ExactEvaluation(compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, 1 << n)
+
+
+def exact_ev_compute(model: DiagnosisModel, *, cap: int = DEFAULT_ENUMERATION_CAP) -> ExactEvaluation:
+    """Exact expected value of the run-time compute policy (all evidence)."""
+    return exact_ev_subset(model, [item.id for item in model.evidence], cap=cap)
+
+
+def gaussian_ev_subset(model: DiagnosisModel, subset: Sequence[str]) -> GaussianEvaluation:
+    """Gaussian estimate of the expected value of acting on a compiled subset.
+
+    Plugs the two Gaussian tail probabilities into the same expected-value
+    composition the exact oracle uses.
+    """
+    n = len(resolve_subset(model, subset))
+    p_act_h, p_act_nh = _evaluator(model, "gaussian")(subset)
+    return GaussianEvaluation(
+        compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, n, n < LOW_N_THRESHOLD
+    )
+
+
+def exhaustive_subset_search(
+    model: DiagnosisModel,
+    *,
+    cap: int = DEFAULT_SEARCH_CAP,
+    eval_cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[tuple[str, ...], NivReport]:
+    """Best evidence subset to compile, by net inferential value, over all 2^m subsets.
+
+    Ties are broken toward the smaller subset, then lexicographically by the
+    id tuple.  Candidate subsets keep the model's evidence order.
+
+    Subsets are walked depth first: each child is its parent plus one later
+    item, valued on the parent's arrays.  The winner is the maximum of a
+    total order on (NIV, then smaller (size, ids)), so it does not depend on
+    the walk order.
+    """
+    ids = [item.id for item in model.evidence]
+    if len(ids) > cap:
+        raise CapExceededError(
+            f"model has {len(ids)} evidence items, above the exhaustive search cap of {cap}"
+        )
+    # Rejects a model that repeats an id, as valuing a subset of it would.
+    items = resolve_subset(model, ids)
+    best: tuple[tuple[str, ...], NivReport] | None = None
+
+    def consider(subset: tuple[str, ...], ev: float) -> None:
+        nonlocal best
+        report = niv(model, TablePolicy(subset), ev, method="exact")
+        if (
+            best is None
+            or report.niv > best[1].niv
+            or (report.niv == best[1].niv and (len(subset), subset) < (len(best[0]), best[0]))
+        ):
+            best = (subset, report)
+
+    def visit(parent: tuple[str, ...], prefix: exact.Prefix, start: int) -> None:
+        for j in range(start, len(items)):
+            subset = parent + (items[j].id,)
+            check_enumeration_cap(len(subset), eval_cap)
+            consider(subset, compose_ev(model, *exact.act_probabilities(prefix, items[j], w_star)))
+            if j + 1 < len(items):
+                child = list(prefix)
+                exact.extend(child, items[j])
+                visit(subset, child, j + 1)
+
+    consider((), exact_ev_subset(model, (), cap=eval_cap).ev)
+    w_star = threshold(model.utilities, model.p_h).w_star
+    visit((), exact.empty_prefix(), 0)
+    assert best is not None
+    return best
 
 
 def greedy_select(
@@ -141,11 +270,13 @@ def greedy_select(
     """
     if lookahead < 0:
         raise MethodError("lookahead depth must be >= 0")
+    remaining = [item.id for item in model.evidence]
+    # Rejects a model that repeats an id, as valuing a subset of it would.
+    resolve_subset(model, remaining)
     evaluate = _evaluator(model, method, enum_cap)
     chosen: list[str] = []
-    remaining = [item.id for item in model.evidence]
 
-    current_niv = niv(model, TablePolicy(()), evaluate(()), method=method).niv
+    current_niv = niv(model, TablePolicy(()), compose_ev(model, *evaluate(())), method=method).niv
     best_niv, best_len = current_niv, 0
     steps: list[SelectionStep] = []
     tolerance = lookahead
@@ -158,7 +289,7 @@ def greedy_select(
         best_candidate: tuple[float, float, str] | None = None  # (niv, ev, id)
         for evidence_id in remaining:
             candidate = chosen + [evidence_id]
-            ev = evaluate(candidate)
+            ev = compose_ev(model, *evaluate(candidate))
             value = niv(model, TablePolicy(tuple(candidate)), ev, method=method).niv
             if (
                 best_candidate is None

@@ -17,8 +17,11 @@ from sact import (
     EvidenceVariable,
     Internal,
     Leaf,
+    MomentSummary,
     SituationActionTree,
     UtilityTable,
+    evidence_moments,
+    gaussian_tail,
     model_digest,
     optimal_action,
     threshold,
@@ -165,6 +168,23 @@ def from_scratch_evaluation(model: DiagnosisModel, subset):
     acts = weights >= threshold(model.utilities, model.p_h).w_star
     p_act_h = float(p_given_h[acts].sum())
     p_act_nh = float(p_given_nh[acts].sum())
+    return compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh
+
+
+def from_scratch_gaussian(model: DiagnosisModel, subset):
+    """(ev, P(act|H), P(act|not-H)) of the normal approximation, from scratch:
+    each item's moments summed left to right over the subset, then the two
+    tails."""
+    lookup = model.evidence_map()
+    sums = [0.0, 0.0, 0.0, 0.0]
+    for evidence_id in subset:
+        item = lookup[evidence_id]
+        m = evidence_moments(item.alpha, item.beta)
+        sums = [s + x for s, x in zip(sums, (m.mean_h, m.var_h, m.mean_nh, m.var_nh))]
+    moments = MomentSummary(*sums, n=len(subset))
+    w_star = threshold(model.utilities, model.p_h).w_star
+    p_act_h = gaussian_tail(moments, w_star, "H")
+    p_act_nh = gaussian_tail(moments, w_star, "notH")
     return compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh
 
 

@@ -97,6 +97,30 @@ def test_deeply_nested_tree_exits_two(workspace):
     assert result.stderr.startswith(b"error: tree file is not valid JSON: ")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("validate", "lone.json"),
+        ("compile", "lone.json", "--out", "lone.sact"),
+        ("tree", "lone.json", "--format", "dot"),
+        ("proto", "--profile-file", "lone-profile.json"),
+    ],
+    ids=["validate", "compile", "tree-dot", "proto"],
+)
+def test_string_not_writable_as_utf8_exits_two(workspace, command):
+    # json.loads turns the escape "\ud800" into a lone surrogate, which no
+    # output can encode.
+    lone = json.loads(json.dumps(M1))
+    lone["evidence"][0]["id"] = "\ud800"
+    (workspace / "lone.json").write_text(json.dumps(lone))
+    profile = {"name": "\ud800", "kind": "explicit", "weights": [1.0]}
+    (workspace / "lone-profile.json").write_text(json.dumps(profile))
+    result = run_sact(*command, cwd=workspace)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: ")
+    assert b"cannot be written as UTF-8" in result.stderr
+
+
 def test_analyze_structure_and_tie(workspace):
     result = run_sact("analyze", "m1.json", cwd=workspace)
     assert result.returncode == 0

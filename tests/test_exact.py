@@ -10,14 +10,13 @@ from sact import (
     UnknownEvidenceError,
     exact_ev_compute,
     exact_ev_subset,
-    exact_tail,
     exhaustive_subset_search,
     niv,
     TablePolicy,
     threshold,
 )
 
-from sact.exact import act_probabilities, assignment_arrays, empty_prefix, extend
+from sact.exact import act_probabilities, empty_prefix, extend
 
 from helpers import (
     brute_force_evaluation,
@@ -117,58 +116,6 @@ class TestExactEvCompute:
         assert exact_ev_compute(make_model([])).ev == pytest.approx(0.5, abs=1e-15)
 
 
-class TestExactTail:
-    def test_single_item_given_h(self):
-        assert exact_tail(m1(), ["e1"], 0.0, "H") == pytest.approx(0.8, abs=1e-12)
-
-    def test_empty_subset_boundary(self):
-        assert exact_tail(m1(), [], 0.0, "H") == 1.0
-
-    def test_single_item_given_not_h(self):
-        assert exact_tail(m1(), ["e1"], 0.0, "notH") == pytest.approx(0.2, abs=1e-12)
-
-    def test_invalid_side_rejected(self):
-        from sact import DomainError
-
-        with pytest.raises(DomainError):
-            exact_tail(m1(), ["e1"], 0.0, "h")
-
-    def test_tail_plus_complement_is_one(self):
-        rng = random.Random(89)
-        for _ in range(40):
-            model = random_model(rng, rng.randint(0, 8))
-            subset = [item.id for item in model.evidence]
-            w_star = rng.uniform(-3.0, 3.0)
-            for side in ("H", "notH"):
-                tail = exact_tail(model, subset, w_star, side)
-                complement = _mass_below(model, subset, w_star, side)
-                assert tail + complement == pytest.approx(1.0, abs=1e-12)
-
-
-def _mass_below(model, subset, w_star, side):
-    # Independent complement accumulation: probability of weight sums
-    # strictly below the threshold, by per-assignment loops.
-    from sact import weight_pair
-
-    lookup = model.evidence_map()
-    items = [lookup[evidence_id] for evidence_id in subset]
-    total = 0.0
-    for index in range(1 << len(items)):
-        weight = 0.0
-        probability = 1.0
-        for i, item in enumerate(items):
-            pair = weight_pair(item.alpha, item.beta)
-            truth = (index >> i) & 1
-            weight += pair.w_pos if truth else pair.w_neg
-            if side == "H":
-                probability *= item.alpha if truth else 1.0 - item.alpha
-            else:
-                probability *= item.beta if truth else 1.0 - item.beta
-        if weight < w_star:
-            total += probability
-    return total
-
-
 class TestExhaustiveSearch:
     def test_information_free_evidence_stays_uncompiled(self):
         costs = CostModel(0, 0, 0, 0, 0.5, 0, 1.0)
@@ -228,13 +175,6 @@ class TestPrefixKernelBitIdentity:
             weights, _, _ = concatenated_arrays(model, [item.id for item in model.evidence])
             w_star = threshold(model.utilities, model.p_h).w_star
             assert np.count_nonzero(np.abs(weights - w_star) < 1e-12) > 0
-
-    def test_assignment_arrays_equal_the_concatenation_loop(self):
-        for model in identity_models(211):
-            subset = [item.id for item in model.evidence]
-            for built, reference in zip(assignment_arrays(model, subset),
-                                        concatenated_arrays(model, subset)):
-                assert built.tobytes() == reference.tobytes()
 
     def test_act_probabilities_equal_the_extended_arrays(self):
         rng = random.Random(223)

@@ -1,9 +1,9 @@
 """Byte-level fuzzing of the files the CLI reads.
 
-Each example mangles the bytes of a valid model, tree or observation file
-and runs commands on it through ``sact.cli.main`` in this process.  Every
-run must return a documented exit code (0-4) and raise nothing.  The
-examples are derandomized, so every run tests the same inputs.
+Each example mangles the bytes of a valid model, tree, observation or SACT
+table file and runs commands on it through ``sact.cli.main`` in this
+process.  Every run must return a documented exit code (0-4) and raise
+nothing.  The examples are derandomized, so every run tests the same inputs.
 """
 
 import contextlib
@@ -47,16 +47,16 @@ VALID = {
     "model.json": model_to_json(MODEL).encode(),
     "tree.json": export_tree(build_tree(MODEL)[0]).encode(),
     "obs.json": json.dumps({evidence_id: True for evidence_id in IDS}).encode(),
+    "table.sact": write_table(compile_table(MODEL, IDS)),
 }
 
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """The valid files, with a table over every item."""
+    """The valid files; the table covers every item."""
     root = tmp_path_factory.mktemp("fuzz")
     for name, blob in VALID.items():
         (root / name).write_bytes(blob)
-    (root / "table.sact").write_bytes(write_table(compile_table(MODEL, IDS)))
     return root
 
 
@@ -98,3 +98,11 @@ def test_mangled_observation(workspace, blob):
     for artifact in (["--tree", str(workspace / "tree.json")],
                      ["--table", str(workspace / "table.sact")]):
         assert run_main("lookup", model, *artifact, "--obs", obs) in EXIT_CODES
+
+
+@FUZZ
+@given(blob=mangled(VALID["table.sact"]))
+def test_mangled_table(workspace, blob):
+    (workspace / "fuzzed.sact").write_bytes(blob)
+    model, table, obs = (str(workspace / name) for name in ("model.json", "fuzzed.sact", "obs.json"))
+    assert run_main("lookup", model, "--table", table, "--obs", obs) in EXIT_CODES

@@ -8,7 +8,6 @@ from sact import (
     MomentSummary,
     evidence_moments,
     exact_ev_subset,
-    exact_tail,
     gaussian_ev_subset,
     gaussian_tail,
     normal_cdf,
@@ -16,7 +15,14 @@ from sact import (
     weight_pair,
 )
 
-from helpers import m1, make_model, random_model
+from helpers import (
+    concatenated_arrays,
+    from_scratch_gaussian,
+    identity_models,
+    m1,
+    make_model,
+    random_model,
+)
 
 
 def quadrature_cdf(x: float) -> float:
@@ -183,6 +189,17 @@ class TestGaussianEvSubset:
         assert abs(approximate.ev - exact.ev) <= 0.03
         assert not approximate.low_n
 
+    def test_equals_from_scratch(self):
+        rng = random.Random(233)
+        for model in identity_models(211):
+            ids = [item.id for item in model.evidence]
+            for subset in (ids, ids[::-1], [i for i in ids if rng.random() < 0.6], []):
+                result = gaussian_ev_subset(model, subset)
+                assert (result.ev, result.p_act_given_h, result.p_act_given_nh) == (
+                    from_scratch_gaussian(model, subset)
+                )
+                assert (result.n, result.low_n) == (len(subset), len(subset) < 10)
+
     def test_small_subset_is_flagged(self):
         result = gaussian_ev_subset(m1(), ["e1"])
         assert result.low_n
@@ -197,7 +214,8 @@ class TestGaussianEvSubset:
 
         def gap(n):
             approximate = gaussian_tail(sum_moments(model, ids[:n]), 0.0, "H")
-            return abs(approximate - exact_tail(model, ids[:n], 0.0, "H"))
+            weights, p_given_h, _ = concatenated_arrays(model, ids[:n])
+            return abs(approximate - float(p_given_h[weights >= 0.0].sum()))
 
         early = sum(gap(n) for n in (3, 4, 5)) / 3
         late = sum(gap(n) for n in (18, 19, 20)) / 3

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -228,6 +230,17 @@ class TestValidateModel:
     def test_violations_serialize(self):
         violation = Violation("x", "y", "z")
         assert violation.to_dict() == {"code": "x", "field": "y", "message": "z"}
+
+
+class TestEvidenceMap:
+    def test_read_only_and_the_model_still_pickles(self):
+        model = make_model([(0.8, 0.2), (0.7, 0.3)])
+        lookup = model.evidence_map()
+        assert dict(lookup) == {item.id: item for item in model.evidence}
+        with pytest.raises(TypeError):
+            lookup["e3"] = model.evidence[0]
+        assert pickle.loads(pickle.dumps(model)) == model
+        assert copy.deepcopy(model).evidence_map() == lookup
 
 
 class TestModelJson:

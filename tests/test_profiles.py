@@ -14,10 +14,8 @@ from sact import (
     UtilityTable,
     WeightProfile,
     evidence_moments,
-    exact_ev_subset,
     export_analysis,
     export_moments,
-    gaussian_ev_subset,
     loss_curve,
     realize_profile,
     topn_subset,
@@ -25,7 +23,12 @@ from sact import (
 )
 from sact.profiles import LossRow, profile_from_dict
 
-from helpers import SYMMETRIC_UTILITIES, ZERO_COSTS
+from helpers import (
+    SYMMETRIC_UTILITIES,
+    ZERO_COSTS,
+    from_scratch_evaluation,
+    from_scratch_gaussian,
+)
 
 
 class TestRealizeProfile:
@@ -194,10 +197,10 @@ class TestLossCurve:
     def test_rows_equal_per_row_valuation(self, method, profile):
         items = realize_profile(profile)
         ranking = topn_subset(items, len(items))
-        valuation = exact_ev_subset if method == "exact" else gaussian_ev_subset
+        valuation = from_scratch_evaluation if method == "exact" else from_scratch_gaussian
         for p_h in (0.5, 0.35):
             model = DiagnosisModel(p_h, tuple(items), SYMMETRIC_UTILITIES, ZERO_COSTS)
-            values = [valuation(model, ranking[:n]).ev for n in range(len(ranking) + 1)]
+            values = [valuation(model, ranking[:n])[0] for n in range(len(ranking) + 1)]
             compute = values[-1]
             expected = tuple(
                 LossRow(n, value, compute, (compute - value) / compute)

@@ -14,7 +14,6 @@ from sact import (
     compile_table,
     exact_ev_subset,
     exhaustive_subset_search,
-    gaussian_ev_subset,
     greedy_select,
     niv,
     optimal_action,
@@ -29,6 +28,7 @@ from sact import (
 from helpers import (
     concatenated_arrays,
     from_scratch_evaluation,
+    from_scratch_gaussian,
     identity_models,
     m1,
     make_model,
@@ -282,9 +282,8 @@ class TestPrefixKernelBitIdentity:
         # The same hill-climb with every candidate valued from scratch: on
         # the full 2^n arrays, or on the moments summed over the subset.
         def from_scratch(model, method, enum_cap):
-            if method == "exact":
-                return lambda subset: from_scratch_evaluation(model, subset)[0]
-            return lambda subset: gaussian_ev_subset(model, subset).ev
+            reference = from_scratch_evaluation if method == "exact" else from_scratch_gaussian
+            return lambda subset: reference(model, subset)[1:]
 
         monkeypatch.setattr(sact.table, "_evaluator", from_scratch)
         again = [greedy_select(model, method=method, lookahead=lookahead) for model in models]
