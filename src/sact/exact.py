@@ -7,12 +7,22 @@ Index convention (shared with the table compiler): assignments are numbered
 0 .. 2^n - 1 and bit i of the index, least significant first, is the truth
 value of ``subset[i]``.
 
-:func:`extend` appends one item to a prefix's arrays, and
+A prefix's arrays live in buffers reserved once, by :func:`empty_prefix`,
+for the largest prefix its caller can reach: each caller knows before the
+first extension how many bytes the prefix will need.  :func:`extend`
+appends one item in place, allocating nothing, and
 :func:`act_probabilities` values the prefix plus one more item without
 building that item's arrays.  :mod:`sact.table` values every subset through
 this kernel, extending one prefix.  Every weight sum is still accumulated
 left to right over the subset, so all results are bit-identical to
 enumerating each subset from scratch.
+
+Peak memory (tracemalloc, n = 18, in float64 arrays of 2^18 entries):
+:func:`weight_sums` 1.0 and the table compiler 1.14, where building each
+step's arrays anew took 2.5.  Valuing a subset of n items holds the three
+arrays of its first n - 1 items plus the last item's gather, 2.4 to 3.1 of
+those arrays.  The pages of a buffer that a run never reaches are never
+touched, so they do not count toward resident memory.
 """
 
 from __future__ import annotations
@@ -50,30 +60,52 @@ def check_enumeration_cap(n: int, cap: int) -> None:
         )
 
 
-# A prefix's arrays, indexed by the assignment convention above: the weight
-# sums, then P(assignment | H) and P(assignment | not-H).  A prefix that
-# holds the weight sums alone extends just those.
-Prefix = list[np.ndarray]
+class Prefix:
+    """The assignments of a subset's leading items, in buffers reserved once.
+
+    The buffers hold the weight sums, then P(assignment | H) and
+    P(assignment | not-H), indexed by the assignment convention above; a
+    prefix of the weight sums alone holds just the first.  The prefix is the
+    leading entries of each buffer, viewed by ``arrays``.
+    """
+
+    __slots__ = ("buffers", "arrays")
+
+    def __init__(self, size: int, firsts: Sequence[float]) -> None:
+        # np.empty, not zeros: a page the prefix never reaches is never touched.
+        self.buffers = [np.empty(1 << size) for _ in firsts]
+        for buffer, first in zip(self.buffers, firsts):
+            buffer[0] = first
+        self.arrays = [buffer[:1] for buffer in self.buffers]
 
 
-def empty_prefix() -> Prefix:
-    """Arrays of the empty subset: one assignment, weight 0, probability 1."""
-    return [np.zeros(1), np.ones(1), np.ones(1)]
+def empty_prefix(size: int) -> Prefix:
+    """The empty subset (weight 0, probability 1), reserved for ``size`` items."""
+    return Prefix(size, (0.0, 1.0, 1.0))
 
 
-def extend(prefix: Prefix, item: EvidenceVariable) -> None:
-    """Append one trailing item to a prefix's arrays, in place.
+def extend(prefix: Prefix, item: EvidenceVariable, out: Prefix | None = None) -> None:
+    """Append one trailing item to a prefix, in place or into ``out``.
 
     The assignments with the item false fill the first half and those with
-    it true the second.  Each array is replaced in turn, so unless the caller
-    holds another reference, an old array is freed before the next new one
-    is built.
+    it true the second.  The true half is written first, into entries the
+    prefix does not use, so the false half can then overwrite the prefix's
+    own entries.  Nothing is allocated: the buffers must have been reserved
+    for the extended prefix.
     """
+    if out is None:
+        out = prefix
+    n = len(prefix.arrays[0])
     pair = weight_pair(item.alpha, item.beta)
-    prefix[0] = np.concatenate([prefix[0] + pair.w_neg, prefix[0] + pair.w_pos])
-    if len(prefix) > 1:
-        prefix[1] = np.concatenate([prefix[1] * (1.0 - item.alpha), prefix[1] * item.alpha])
-        prefix[2] = np.concatenate([prefix[2] * (1.0 - item.beta), prefix[2] * item.beta])
+    steps = (
+        (np.add, pair.w_neg, pair.w_pos),
+        (np.multiply, 1.0 - item.alpha, item.alpha),
+        (np.multiply, 1.0 - item.beta, item.beta),
+    )
+    for source, target, (op, if_false, if_true) in zip(prefix.arrays, out.buffers, steps):
+        op(source, if_true, out=target[n : 2 * n])
+        op(source, if_false, out=target[:n])
+    out.arrays = [target[: 2 * n] for target in out.buffers]
 
 
 def act_probabilities(
@@ -89,7 +121,7 @@ def act_probabilities(
     ``weights + w >= w_star``, the extended weight itself: at a sum that sits
     on the threshold, ``weights >= w_star - w`` can round the other way.
     """
-    weights, p_given_h, p_given_nh = prefix
+    weights, p_given_h, p_given_nh = prefix.arrays
     pair = weight_pair(item.alpha, item.beta)
     low = weights + pair.w_neg >= w_star
     high = weights + pair.w_pos >= w_star
@@ -111,10 +143,10 @@ def weight_sums(
     """Summed evidence weight of every assignment of a subset, in index order."""
     items = resolve_subset(model, subset)
     check_enumeration_cap(len(items), cap)
-    prefix = [np.zeros(1)]
+    prefix = Prefix(len(items), (0.0,))
     for item in items:
         extend(prefix, item)
-    return prefix[0]
+    return prefix.buffers[0]
 
 
 def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: float) -> float:

@@ -129,13 +129,15 @@ class SelectionTrace:
 
 
 def _evaluator(
-    model: DiagnosisModel, method: Method, enum_cap: int = DEFAULT_ENUMERATION_CAP
+    model: DiagnosisModel, method: Method, largest: int, enum_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Callable[[Sequence[str]], tuple[float, float]]:
     """P(act | H) and P(act | not-H) of a subset, through ``method``'s prefix kernel.
 
     Callers only append to the subsets they value, so the prefix kept from
     the last call is extended, never rebuilt.  Every weight or moment sum is
-    still accumulated left to right over the subset.
+    still accumulated left to right over the subset.  No subset the caller
+    values has more than ``largest`` items, so the exact prefix (a subset
+    without its last item) is reserved once, for ``min(largest, enum_cap) - 1``.
     """
     kernel = {"exact": exact, "gaussian": gaussian}.get(method)
     if kernel is None:
@@ -143,7 +145,10 @@ def _evaluator(
     lookup = model.evidence_map()
     w_star = threshold(model.utilities, model.p_h).w_star
     # The kernel's prefix of the subset's leading ``built`` items.
-    prefix = kernel.empty_prefix()
+    if kernel is exact:
+        prefix = exact.empty_prefix(max(min(largest, enum_cap) - 1, 0))
+    else:
+        prefix = gaussian.empty_prefix()
     built = 0
 
     def evaluate(subset: Sequence[str]) -> tuple[float, float]:
@@ -177,7 +182,7 @@ def exact_ev_subset(
     """
     n = len(resolve_subset(model, subset))
     check_enumeration_cap(n, cap)
-    p_act_h, p_act_nh = _evaluator(model, "exact", cap)(subset)
+    p_act_h, p_act_nh = _evaluator(model, "exact", n, cap)(subset)
     return ExactEvaluation(compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, 1 << n)
 
 
@@ -193,7 +198,7 @@ def gaussian_ev_subset(model: DiagnosisModel, subset: Sequence[str]) -> Gaussian
     composition the exact oracle uses.
     """
     n = len(resolve_subset(model, subset))
-    p_act_h, p_act_nh = _evaluator(model, "gaussian")(subset)
+    p_act_h, p_act_nh = _evaluator(model, "gaussian", n)(subset)
     return GaussianEvaluation(
         compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, n, n < LOW_N_THRESHOLD
     )
@@ -211,7 +216,8 @@ def exhaustive_subset_search(
     id tuple.  Candidate subsets keep the model's evidence order.
 
     Subsets are walked depth first: each child is its parent plus one later
-    item, valued on the parent's arrays.  The winner is the maximum of a
+    item, valued on the parent's arrays.  Each depth's prefix is reserved
+    once and written from its parent's.  The winner is the maximum of a
     total order on (NIV, then smaller (size, ids)), so it does not depend on
     the walk order.
     """
@@ -234,19 +240,22 @@ def exhaustive_subset_search(
         ):
             best = (subset, report)
 
-    def visit(parent: tuple[str, ...], prefix: exact.Prefix, start: int) -> None:
+    def visit(parent: tuple[str, ...], start: int) -> None:
+        depth = len(parent)
         for j in range(start, len(items)):
             subset = parent + (items[j].id,)
             check_enumeration_cap(len(subset), eval_cap)
-            consider(subset, compose_ev(model, *exact.act_probabilities(prefix, items[j], w_star)))
+            p_act = exact.act_probabilities(prefixes[depth], items[j], w_star)
+            consider(subset, compose_ev(model, *p_act))
             if j + 1 < len(items):
-                child = list(prefix)
-                exact.extend(child, items[j])
-                visit(subset, child, j + 1)
+                exact.extend(prefixes[depth], items[j], out=prefixes[depth + 1])
+                visit(subset, j + 1)
 
     consider((), exact_ev_subset(model, (), cap=eval_cap).ev)
     w_star = threshold(model.utilities, model.p_h).w_star
-    visit((), exact.empty_prefix(), 0)
+    # The prefix of each depth that has a child: a subset of all m items has none.
+    prefixes = [exact.empty_prefix(depth) for depth in range(len(items))]
+    visit((), 0)
     assert best is not None
     return best
 
@@ -273,7 +282,7 @@ def greedy_select(
     remaining = [item.id for item in model.evidence]
     # Rejects a model that repeats an id, as valuing a subset of it would.
     resolve_subset(model, remaining)
-    evaluate = _evaluator(model, method, enum_cap)
+    evaluate = _evaluator(model, method, min(len(remaining), table_cap), enum_cap)
     chosen: list[str] = []
 
     current_niv = niv(model, TablePolicy(()), compose_ev(model, *evaluate(())), method=method).niv
@@ -412,14 +421,17 @@ def read_table(blob: bytes) -> CompiledTable:
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported table format version {version}")
     n = int.from_bytes(take(2, "subset size"), "little")
-    subset = []
+    subset: dict[str, None] = {}
     for i in range(n):
         length = int.from_bytes(take(2, f"id length {i}"), "little")
         raw = take(length, f"id {i}")
         try:
-            subset.append(raw.decode("utf-8"))
+            evidence_id = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"evidence id {i} is not valid UTF-8: {exc}") from None
+        if evidence_id in subset:
+            raise FormatError(f"evidence id {i} repeats {evidence_id!r}")
+        subset[evidence_id] = None
     (w_star,) = struct.unpack("<d", take(8, "threshold weight"))
     digest = take(32, "model digest")
     bits = take(((1 << n) + 7) >> 3, "action bits")

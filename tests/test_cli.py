@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from sact import CompiledTable, model_digest, model_from_json, threshold, write_table
+
 from helpers import run_sact
 
 M1 = {
@@ -206,6 +208,22 @@ def test_lookup_rejects_non_boolean_observation(workspace):
     result = run_sact("lookup", "m1.json", "--table", "m1.sact", "--obs", "obs.json",
                       cwd=workspace)
     assert result.returncode == 2
+
+
+def test_lookup_rejects_a_table_that_repeats_an_id(workspace):
+    # compile never writes such a table; it carries the model's digest, so
+    # only the repeated id is wrong.
+    model = model_from_json(json.dumps(M1))
+    table = CompiledTable(("e1", "e1"), b"\x0f", threshold(model.utilities, model.p_h).w_star,
+                          model_digest(model))
+    (workspace / "twice.sact").write_bytes(write_table(table))
+    (workspace / "obs.json").write_text(json.dumps({"e1": True}))
+    result = run_sact("lookup", "m1.json", "--table", "twice.sact", "--obs", "obs.json",
+                      cwd=workspace)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr.decode().startswith("error:")
+    assert "repeats 'e1'" in result.stderr.decode()
 
 
 def test_compile_with_unknown_id_exits_one(workspace):

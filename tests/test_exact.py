@@ -8,6 +8,7 @@ from sact import (
     CapExceededError,
     CostModel,
     UnknownEvidenceError,
+    compile_table,
     exact_ev_compute,
     exact_ev_subset,
     exhaustive_subset_search,
@@ -16,7 +17,7 @@ from sact import (
     threshold,
 )
 
-from sact.exact import act_probabilities, empty_prefix, extend
+from sact.exact import act_probabilities, empty_prefix, extend, weight_sums
 
 from helpers import (
     brute_force_evaluation,
@@ -182,7 +183,7 @@ class TestPrefixKernelBitIdentity:
             subset = [item.id for item in model.evidence]
             rng.shuffle(subset)
             w_star = threshold(model.utilities, model.p_h).w_star
-            prefix = empty_prefix()
+            prefix = empty_prefix(len(subset))
             for k, item in enumerate(model.evidence_map()[i] for i in subset):
                 _, p_h, p_nh = from_scratch_evaluation(model, subset[: k + 1])
                 assert act_probabilities(prefix, item, w_star) == (p_h, p_nh)
@@ -253,12 +254,24 @@ class TestCapMessages:
             exact_ev_subset(model, ["e2", "e1", "e2"])
 
 
+def traced_peak(call) -> int:
+    """Peak bytes allocated through Python's allocators while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
     # One unit is a float64 array over 2^17 assignments, half the n = 18
     # subset.  The kernel builds the three arrays of the first 17 items and
     # gathers the acting probabilities of the last item into one array;
     # enumerating all 18 items' arrays took about 9 units.
     UNIT = 8 * (1 << 17)
+    # A float64 array over all 2^18 assignments of the n = 18 subset.
+    FULL = 8 * (1 << 18)
 
     @pytest.mark.parametrize("p_h", [0.5, 0.999])
     def test_exact_ev_subset_peak_at_n_18(self, p_h):
@@ -266,10 +279,25 @@ class TestMemory:
         # do, the largest gather.
         model = make_model([(0.7, 0.3)] * 17 + [(0.6, 0.45)], p_h=p_h)
         subset = [item.id for item in model.evidence]
-        tracemalloc.start()
-        try:
-            exact_ev_subset(model, subset)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7 * self.UNIT
+        assert traced_peak(lambda: exact_ev_subset(model, subset)) <= 7 * self.UNIT
+
+    def test_weight_sums_peak_at_n_18(self):
+        # The weight sums are extended in place in the one array returned;
+        # building each step's array anew took 2.5 arrays.
+        model = make_model([(0.7, 0.3)] * 17 + [(0.6, 0.45)])
+        subset = [item.id for item in model.evidence]
+        assert traced_peak(lambda: weight_sums(model, subset)) <= 1.25 * self.FULL
+
+    def test_compile_table_peak_at_n_18(self):
+        # The weight sums plus the boolean decisions (1/8 of an array) and
+        # the packed bits (1/64).
+        model = make_model([(0.7, 0.3)] * 17 + [(0.6, 0.45)])
+        subset = [item.id for item in model.evidence]
+        assert traced_peak(lambda: compile_table(model, subset)) <= 1.25 * self.FULL
+
+    def test_exhaustive_peak_at_m_15(self):
+        # One prefix per depth 0 .. 14, three arrays of 2^depth entries each
+        # (0.75 MiB together), plus the gather of the one 15-item subset.
+        # A prefix of all 15 items would add 0.75 MiB that no subset uses.
+        model = make_model([(0.7, 0.3)] * 14 + [(0.6, 0.45)])
+        assert traced_peak(lambda: exhaustive_subset_search(model)) <= 1 << 20

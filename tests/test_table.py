@@ -281,7 +281,7 @@ class TestPrefixKernelBitIdentity:
         kept = [greedy_select(model, method=method, lookahead=lookahead) for model in models]
         # The same hill-climb with every candidate valued from scratch: on
         # the full 2^n arrays, or on the moments summed over the subset.
-        def from_scratch(model, method, enum_cap):
+        def from_scratch(model, method, largest, enum_cap):
             reference = from_scratch_evaluation if method == "exact" else from_scratch_gaussian
             return lambda subset: reference(model, subset)[1:]
 
