@@ -12,10 +12,12 @@ for the largest prefix its caller can reach: each caller knows before the
 first extension how many bytes the prefix will need.  :func:`extend`
 appends one item in place, allocating nothing, and
 :func:`act_probabilities` values the prefix plus one more item without
-building that item's arrays.  :mod:`sact.table` values every subset through
-this kernel, extending one prefix.  Every weight sum is still accumulated
-left to right over the subset, so all results are bit-identical to
-enumerating each subset from scratch.
+building that item's arrays.  Both read the item's weight pair, computed
+once when the item was made (:attr:`~sact.model.EvidenceVariable.weights`).
+:mod:`sact.table` values every subset through this kernel, extending one
+prefix.  Every weight sum is still accumulated left to right over the
+subset, so all results are bit-identical to enumerating each subset from
+scratch.
 
 Peak memory (tracemalloc, n = 18, in float64 arrays of 2^18 entries):
 :func:`weight_sums` 1.0 and the table compiler 1.14, where building each
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceededError, UnknownEvidenceError
-from .model import DiagnosisModel, EvidenceVariable, weight_pair
+from .model import DiagnosisModel, EvidenceVariable
 
 DEFAULT_ENUMERATION_CAP = 25
 
@@ -96,7 +98,7 @@ def extend(prefix: Prefix, item: EvidenceVariable, out: Prefix | None = None) ->
     if out is None:
         out = prefix
     n = len(prefix.arrays[0])
-    pair = weight_pair(item.alpha, item.beta)
+    pair = item.weights
     steps = (
         (np.add, pair.w_neg, pair.w_pos),
         (np.multiply, 1.0 - item.alpha, item.alpha),
@@ -122,7 +124,7 @@ def act_probabilities(
     on the threshold, ``weights >= w_star - w`` can round the other way.
     """
     weights, p_given_h, p_given_nh = prefix.arrays
-    pair = weight_pair(item.alpha, item.beta)
+    pair = item.weights
     low = weights + pair.w_neg >= w_star
     high = weights + pair.w_pos >= w_star
     split = int(np.count_nonzero(low))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import DiagnosisModel, EvidenceVariable, Side, weight_pair
+from .model import DiagnosisModel, EvidenceVariable, Side, WeightPair, weight_pair
 from .exact import resolve_subset
 
 # Below this many summed items the normal approximation is considered poor;
@@ -35,7 +35,7 @@ class MomentSummary:
     n: int
 
 
-def evidence_moments(alpha: float, beta: float) -> MomentSummary:
+def evidence_moments(alpha: float, beta: float, pair: WeightPair | None = None) -> MomentSummary:
     """Per-item moments of the weight of one evidence variable.
 
     Given H the weight is w_pos with probability alpha and w_neg otherwise:
@@ -43,9 +43,11 @@ def evidence_moments(alpha: float, beta: float) -> MomentSummary:
         E[w|H]   = alpha*ln(alpha/beta) + (1-alpha)*ln((1-alpha)/(1-beta))
         Var[w|H] = alpha*(1-alpha) * ln^2[ alpha*(1-beta) / (beta*(1-alpha)) ]
 
-    and symmetrically with beta given not-H.
+    and symmetrically with beta given not-H.  ``pair`` is the item's
+    weights when the caller holds them, as the prefix kernel does.
     """
-    pair = weight_pair(alpha, beta)
+    if pair is None:
+        pair = weight_pair(alpha, beta)
     spread = math.log(alpha * (1.0 - beta) / (beta * (1.0 - alpha)))
     return MomentSummary(
         mean_h=alpha * pair.w_pos + (1.0 - alpha) * pair.w_neg,
@@ -68,7 +70,7 @@ def empty_prefix() -> Prefix:
 
 def extend(prefix: Prefix, item: EvidenceVariable) -> None:
     """Add one trailing item's moments to a prefix's sums, in place."""
-    m = evidence_moments(item.alpha, item.beta)
+    m = evidence_moments(item.alpha, item.beta, item.weights)
     prefix[:] = [s + x for s, x in zip(prefix, (m.mean_h, m.var_h, m.mean_nh, m.var_nh, 1))]
 
 

@@ -53,6 +53,24 @@ class EvidenceVariable:
     alpha: float
     beta: float
 
+    def __post_init__(self) -> None:
+        # The weights are computed once, when the item is made, so that no
+        # valuation or search recomputes or allocates them.  An item outside
+        # (0, 1) keeps None and raises when they are read: a model holding
+        # one still parses, and ``validate_model`` reports it.
+        try:
+            pair: WeightPair | None = weight_pair(self.alpha, self.beta)
+        except (DomainError, TypeError):
+            pair = None
+        object.__setattr__(self, "_weights", pair)
+
+    @property
+    def weights(self) -> WeightPair:
+        """The item's :func:`weight_pair`, computed when the item was made."""
+        if self._weights is None:
+            weight_pair(self.alpha, self.beta)  # raises the DomainError
+        return self._weights
+
 
 @dataclass(frozen=True)
 class UtilityTable:
@@ -109,6 +127,19 @@ class DiagnosisModel:
         # The proxy is made per call: a cached one would make the model
         # unpicklable.
         return MappingProxyType(self._evidence_by_id)
+
+    @cached_property
+    def valuation_record(self) -> dict[tuple[str, tuple[str, ...]], tuple[float, float]]:
+        """(P(act | H), P(act | not-H)) of the subsets greedy selection
+        accepted on this model, keyed by (method, subset).
+
+        :func:`sact.table.greedy_select` writes it and the ``*_ev_subset``
+        valuations read it, so the subset selection returns is not valued a
+        second time.  A method's accepted steps extend one fixed sequence
+        whatever the caps and lookahead, so the record holds at most m
+        entries per method.
+        """
+        return {}
 
 
 @dataclass(frozen=True)

@@ -149,10 +149,27 @@ def niv(model: DiagnosisModel, policy: Policy, ev: float, *, method: Method) -> 
             raise MethodError("tree policies are evaluated exactly; use method='exact'")
     else:
         raise DomainError(f"unknown policy {policy!r}")
+    pc_h, pc_nh, mc, value = _assess(model, policy, ev)
+    return NivReport(policy=policy, ev=ev, pc_h=pc_h, pc_nh=pc_nh, mc=mc, niv=value, method=method)
+
+
+def _assess(model: DiagnosisModel, policy: Policy, ev: float) -> tuple[float, float, float, float]:
+    """A policy's processing costs, memory cost and net inferential value, unchecked."""
     pc_h, pc_nh = processing_costs(model.costs, policy)
     mc = memory_costs(model.costs, policy)
-    value = model.costs.r * (ev - pc_h * model.p_h - pc_nh * (1.0 - model.p_h)) - mc
-    return NivReport(policy=policy, ev=ev, pc_h=pc_h, pc_nh=pc_nh, mc=mc, niv=value, method=method)
+    return pc_h, pc_nh, mc, model.costs.r * (ev - pc_h * model.p_h - pc_nh * (1.0 - model.p_h)) - mc
+
+
+def table_niv(model: DiagnosisModel, subset: tuple[str, ...], ev: float) -> float:
+    """``niv(model, TablePolicy(subset), ev, method=...).niv``, without checking the subset.
+
+    Subset selection values many candidates whose ids it has already
+    resolved, so it calls this once per candidate and builds a
+    :class:`NivReport` only for the subset it returns.  A table over more
+    than ``DEFAULT_MAX_TABLE_BITS`` items is refused, as :func:`niv` refuses
+    it.
+    """
+    return _assess(model, TablePolicy(subset), ev)[3]
 
 
 def compare_policies(

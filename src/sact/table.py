@@ -6,6 +6,12 @@ P(act | H) and P(act | not-H) through the chosen method's prefix kernel
 expected value with :func:`~sact.exact.compose_ev`.  The exact and Gaussian
 valuations of one subset, greedy selection and loss curves all go through
 it; exhaustive search walks its own tree of prefixes, because it branches.
+Greedy selection records the probabilities of each step it accepts on the
+model (``DiagnosisModel.valuation_record``), and the ``*_ev_subset``
+valuations read a recorded subset instead of valuing it again: the same
+floats, since the record holds what the evaluator returned.  Both searches
+value each candidate with :func:`~sact.niv.table_niv` and build a
+:class:`~sact.niv.NivReport` only for what they return.
 
 The compiler enumerates every assignment of a chosen evidence subset, decides
 each with the threshold rule, and packs the decisions into a bit array whose
@@ -37,7 +43,7 @@ from .exact import (
 )
 from .gaussian import LOW_N_THRESHOLD
 from .model import Action, DiagnosisModel, Observation, model_digest, threshold
-from .niv import Method, NivReport, TablePolicy, niv
+from .niv import Method, NivReport, TablePolicy, niv, table_niv
 
 DEFAULT_TABLE_CAP = 25
 DEFAULT_SEARCH_CAP = 15
@@ -130,14 +136,17 @@ class SelectionTrace:
 
 def _evaluator(
     model: DiagnosisModel, method: Method, largest: int, enum_cap: int = DEFAULT_ENUMERATION_CAP
-) -> Callable[[Sequence[str]], tuple[float, float]]:
+) -> Callable[..., tuple[float, float]]:
     """P(act | H) and P(act | not-H) of a subset, through ``method``'s prefix kernel.
 
-    Callers only append to the subsets they value, so the prefix kept from
-    the last call is extended, never rebuilt.  Every weight or moment sum is
-    still accumulated left to right over the subset.  No subset the caller
-    values has more than ``largest`` items, so the exact prefix (a subset
-    without its last item) is reserved once, for ``min(largest, enum_cap) - 1``.
+    ``evaluate(subset, n)`` values the leading ``n`` items of ``subset`` (all
+    of them by default), so a caller valuing every prefix of one ranking
+    passes the ranking itself and copies nothing.  Callers only append to
+    the subsets they value, so the prefix kept from the last call is
+    extended, never rebuilt.  Every weight or moment sum is still
+    accumulated left to right over the subset.  No subset the caller values
+    has more than ``largest`` items, so the exact prefix (a subset without
+    its last item) is reserved once, for ``min(largest, enum_cap) - 1``.
     """
     kernel = {"exact": exact, "gaussian": gaussian}.get(method)
     if kernel is None:
@@ -151,24 +160,44 @@ def _evaluator(
         prefix = gaussian.empty_prefix()
     built = 0
 
-    def evaluate(subset: Sequence[str]) -> tuple[float, float]:
+    def evaluate(subset: Sequence[str], n: int | None = None) -> tuple[float, float]:
         nonlocal built
-        if method == "exact" and len(subset) > enum_cap:
+        if n is None:
+            n = len(subset)
+        if method == "exact" and n > enum_cap:
             raise CapExceededError(
-                f"exact evaluation of {len(subset)} items exceeds the enumeration "
+                f"exact evaluation of {n} items exceeds the enumeration "
                 f"cap of {enum_cap}; switch to method='gaussian'"
             )
-        if not subset:
+        if not n:
             # The lone empty assignment sums to 0 with probability 1.
             p_act = float(0.0 >= w_star)
             return p_act, p_act
         # Extended lazily, so the prefix is not extended past the last step.
-        for evidence_id in subset[built:-1]:
-            kernel.extend(prefix, lookup[evidence_id])
-        built = len(subset) - 1
-        return kernel.act_probabilities(prefix, lookup[subset[-1]], w_star)
+        for i in range(built, n - 1):
+            kernel.extend(prefix, lookup[subset[i]])
+        built = n - 1
+        return kernel.act_probabilities(prefix, lookup[subset[n - 1]], w_star)
 
     return evaluate
+
+
+def _valuation(
+    model: DiagnosisModel,
+    method: Method,
+    subset: Sequence[str],
+    n: int,
+    enum_cap: int = DEFAULT_ENUMERATION_CAP,
+) -> tuple[float, float]:
+    """P(act | H) and P(act | not-H) of a resolved subset of ``n`` items.
+
+    Read from the model's record when greedy selection accepted this subset
+    (the same floats, valued on the same prefix), else valued anew.
+    """
+    recorded = model.valuation_record.get((method, tuple(subset)))
+    if recorded is None:
+        recorded = _evaluator(model, method, n, enum_cap)(subset)
+    return recorded
 
 
 def exact_ev_subset(
@@ -178,11 +207,13 @@ def exact_ev_subset(
 
     Enumerates every assignment of the subset, decides each by the threshold
     rule, and accumulates the probability of acting under each hypothesis.
-    Only the arrays of the subset without its last item are built.
+    Only the arrays of the subset without its last item are built.  A subset
+    greedy selection accepted on this model is read from its record, and
+    ``enumerated_count`` still reports 2^n.
     """
     n = len(resolve_subset(model, subset))
     check_enumeration_cap(n, cap)
-    p_act_h, p_act_nh = _evaluator(model, "exact", n, cap)(subset)
+    p_act_h, p_act_nh = _valuation(model, "exact", subset, n, cap)
     return ExactEvaluation(compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, 1 << n)
 
 
@@ -198,7 +229,7 @@ def gaussian_ev_subset(model: DiagnosisModel, subset: Sequence[str]) -> Gaussian
     composition the exact oracle uses.
     """
     n = len(resolve_subset(model, subset))
-    p_act_h, p_act_nh = _evaluator(model, "gaussian", n)(subset)
+    p_act_h, p_act_nh = _valuation(model, "gaussian", subset, n)
     return GaussianEvaluation(
         compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, n, n < LOW_N_THRESHOLD
     )
@@ -228,17 +259,17 @@ def exhaustive_subset_search(
         )
     # Rejects a model that repeats an id, as valuing a subset of it would.
     items = resolve_subset(model, ids)
-    best: tuple[tuple[str, ...], NivReport] | None = None
+    best: tuple[float, tuple[str, ...], float] | None = None  # (niv, subset, ev)
 
     def consider(subset: tuple[str, ...], ev: float) -> None:
         nonlocal best
-        report = niv(model, TablePolicy(subset), ev, method="exact")
+        value = table_niv(model, subset, ev)
         if (
             best is None
-            or report.niv > best[1].niv
-            or (report.niv == best[1].niv and (len(subset), subset) < (len(best[0]), best[0]))
+            or value > best[0]
+            or (value == best[0] and (len(subset), subset) < (len(best[1]), best[1]))
         ):
-            best = (subset, report)
+            best = (value, subset, ev)
 
     def visit(parent: tuple[str, ...], start: int) -> None:
         depth = len(parent)
@@ -257,7 +288,8 @@ def exhaustive_subset_search(
     prefixes = [exact.empty_prefix(depth) for depth in range(len(items))]
     visit((), 0)
     assert best is not None
-    return best
+    _, subset, ev = best
+    return subset, niv(model, TablePolicy(subset), ev, method="exact")
 
 
 def greedy_select(
@@ -276,6 +308,10 @@ def greedy_select(
     improving candidate is always accepted; with ``lookahead = L`` up to L
     consecutive non-improving acceptances are tolerated before the best
     prefix seen is kept.
+
+    The (P(act | H), P(act | not-H)) of each accepted step is written to
+    ``model.valuation_record``, so valuing the returned subset afterwards
+    reads it instead of enumerating it again.
     """
     if lookahead < 0:
         raise MethodError("lookahead depth must be >= 0")
@@ -284,8 +320,9 @@ def greedy_select(
     resolve_subset(model, remaining)
     evaluate = _evaluator(model, method, min(len(remaining), table_cap), enum_cap)
     chosen: list[str] = []
+    record = model.valuation_record
 
-    current_niv = niv(model, TablePolicy(()), compose_ev(model, *evaluate(())), method=method).niv
+    current_niv = table_niv(model, (), compose_ev(model, *evaluate(())))
     best_niv, best_len = current_niv, 0
     steps: list[SelectionStep] = []
     tolerance = lookahead
@@ -295,11 +332,13 @@ def greedy_select(
         if len(chosen) >= table_cap:
             reason = "cap"
             break
-        best_candidate: tuple[float, float, str] | None = None  # (niv, ev, id)
+        # (niv, ev, id, (P(act | H), P(act | not-H)))
+        best_candidate: tuple[float, float, str, tuple[float, float]] | None = None
         for evidence_id in remaining:
             candidate = chosen + [evidence_id]
-            ev = compose_ev(model, *evaluate(candidate))
-            value = niv(model, TablePolicy(tuple(candidate)), ev, method=method).niv
+            p_act = evaluate(candidate)
+            ev = compose_ev(model, *p_act)
+            value = table_niv(model, tuple(candidate), ev)
             if (
                 best_candidate is None
                 or value > best_candidate[0]
@@ -310,9 +349,9 @@ def greedy_select(
                     and evidence_id < best_candidate[2]
                 )
             ):
-                best_candidate = (value, ev, evidence_id)
+                best_candidate = (value, ev, evidence_id, p_act)
         assert best_candidate is not None
-        value, _, evidence_id = best_candidate
+        value, _, evidence_id, p_act = best_candidate
         if value > current_niv:
             tolerance = lookahead
         elif tolerance > 0:
@@ -322,6 +361,7 @@ def greedy_select(
             break
         chosen.append(evidence_id)
         remaining.remove(evidence_id)
+        record[(method, tuple(chosen))] = p_act
         steps.append(SelectionStep(evidence_id, current_niv, value))
         current_niv = value
         if value > best_niv:

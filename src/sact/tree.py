@@ -39,7 +39,6 @@ from .model import (
     optimal_action,
     parse_json,
     threshold,
-    weight_pair,
 )
 from .niv import NivReport, TreePolicy, niv
 
@@ -171,7 +170,7 @@ def build_tree(
     thr = threshold(model.utilities, model.p_h)
     node_cost = model.costs.k5 * model.costs.k6
     r = model.costs.r
-    candidates = [(item, weight_pair(item.alpha, item.beta)) for item in model.evidence]
+    candidates = [(item, item.weights) for item in model.evidence]
 
     def grow(
         p_path_h: float,

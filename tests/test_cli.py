@@ -261,6 +261,28 @@ def test_proto_single_weight_profile(workspace):
     assert lines[2].startswith("unit,1,0.8,0.8,0")
 
 
+def test_proto_refuses_a_profile_over_the_cap(workspace):
+    profile = {"name": "wide", "kind": "linear-decay", "intercept": 1.0, "slope": 0.25,
+               "w_max": 4.0, "count": 10**9}
+    (workspace / "wide.json").write_text(json.dumps(profile))
+    result = run_sact("proto", "--profile-file", "wide.json", cwd=workspace)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"refused: profile 'wide' has 1000000000 items, above the profile cap of 65536\n"
+    )
+
+
+def test_proto_profile_integer_too_large_for_a_float_exits_two(workspace):
+    (workspace / "huge.json").write_text(
+        '{"name": "w", "kind": "explicit", "weights": [1' + "0" * 400 + "]}"
+    )
+    result = run_sact("proto", "--profile-file", "huge.json", cwd=workspace)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b"error: profile.weights[0]: integer too large for a float\n"
+
+
 def test_proto_presets_with_moments(workspace):
     result = run_sact("proto", "--moments-out", "moments.csv", cwd=workspace)
     assert result.returncode == 0

@@ -1,9 +1,10 @@
 """Byte-level fuzzing of the files the CLI reads.
 
-Each example mangles the bytes of a valid model, tree, observation or SACT
-table file and runs commands on it through ``sact.cli.main`` in this
-process.  Every run must return a documented exit code (0-4) and raise
-nothing.  The examples are derandomized, so every run tests the same inputs.
+Each example mangles the bytes of a valid model, tree, observation, SACT
+table or weight-profile file and runs commands on it through
+``sact.cli.main`` in this process.  Every run must return a documented exit
+code (0-4) and raise nothing.  The examples are derandomized, so every run
+tests the same inputs.
 """
 
 import contextlib
@@ -49,6 +50,11 @@ VALID = {
     "obs.json": json.dumps({evidence_id: True for evidence_id in IDS}).encode(),
     "table.sact": write_table(compile_table(MODEL, IDS)),
 }
+PROFILES = [
+    json.dumps({"name": "tri", "kind": "linear-decay", "intercept": 1.0, "slope": 0.25,
+                "w_max": 4.0, "count": 12}).encode(),
+    json.dumps({"name": "w", "kind": "explicit", "weights": [0.4, 1.5, 0.9, 2.2]}).encode(),
+]
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +112,15 @@ def test_mangled_table(workspace, blob):
     (workspace / "fuzzed.sact").write_bytes(blob)
     model, table, obs = (str(workspace / name) for name in ("model.json", "fuzzed.sact", "obs.json"))
     assert run_main("lookup", model, "--table", table, "--obs", obs) in EXIT_CODES
+
+
+@FUZZ
+@given(blob=st.sampled_from(PROFILES).flatmap(mangled))
+def test_mangled_profile(workspace, blob):
+    (workspace / "fuzzed.json").write_bytes(blob)
+    profile, out = str(workspace / "fuzzed.json"), str(workspace / "out")
+    for argv in (
+        ["proto", "--profile-file", profile],
+        ["proto", "--profile-file", profile, "--method", "exact", "--moments-out", out],
+    ):
+        assert run_main(*argv) in EXIT_CODES

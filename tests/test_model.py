@@ -14,6 +14,9 @@ from sact import (
     UnknownEvidenceError,
     UtilityTable,
     Violation,
+    build_tree,
+    exact_ev_subset,
+    gaussian_ev_subset,
     model_digest,
     model_from_dict,
     model_from_json,
@@ -70,6 +73,29 @@ class TestWeightPair:
                 assert pair.w_pos == pair.w_neg == 0.0
             else:
                 assert (pair.w_pos > 0) == (pair.w_neg < 0)
+
+
+class TestItemWeights:
+    def test_equal_weight_pair(self):
+        for item in random_model(random.Random(3), 30).evidence:
+            assert item.weights == weight_pair(item.alpha, item.beta)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (0.5, 0.0), (0.3, 1.5)])
+    def test_a_bad_item_parses_and_raises_where_its_weights_are_read(self, alpha, beta):
+        model = model_from_dict(model_to_dict(make_model([(0.8, 0.2), (alpha, beta)])))
+        assert validate_model(model)
+        with pytest.raises(DomainError) as expected:
+            weight_pair(alpha, beta)
+        for use in (
+            lambda: model.evidence[1].weights,
+            lambda: exact_ev_subset(model, ["e1", "e2"]),
+            lambda: exact_ev_subset(model, ["e2", "e1"]),
+            lambda: gaussian_ev_subset(model, ["e2"]),
+            lambda: build_tree(model),
+        ):
+            with pytest.raises(DomainError) as excinfo:
+                use()
+            assert str(excinfo.value) == str(expected.value)
 
 
 class TestThreshold:

@@ -14,10 +14,13 @@ from sact import (
     compare_policies,
     exact_ev_compute,
     exact_ev_subset,
+    greedy_select,
     memory_costs,
     niv,
     processing_costs,
 )
+
+from sact.niv import table_niv
 
 from helpers import m1, make_model, random_model
 
@@ -106,6 +109,33 @@ class TestNiv:
                 - report.mc
             )
             assert report.niv == rebuilt
+
+    def test_table_niv_equals_the_report_bit_for_bit(self):
+        rng = random.Random(102)
+        for _ in range(200):
+            model = random_model(rng, rng.randint(0, 8))
+            subset = tuple(item.id for item in model.evidence if rng.random() < 0.5)
+            ev = rng.uniform(-5.0, 5.0)
+            for method in ("exact", "gaussian"):
+                report = niv(model, TablePolicy(subset), ev, method=method)
+                assert table_niv(model, subset, ev).hex() == report.niv.hex()
+
+    def test_table_niv_keeps_the_62_bit_refusal(self):
+        model = m1(costs=COSTS)
+        # k5 = 2 per cell: 2^62 cells are admitted, 2^63 refused.
+        assert table_niv(model, tuple(f"e{i}" for i in range(62)), 0.5) < -(2.0**62)
+        with pytest.raises(CapExceededError, match="^a table over 63 items needs 2\\^63 cells"):
+            table_niv(model, tuple(f"e{i}" for i in range(63)), 0.5)
+
+    def test_greedy_selection_is_refused_at_the_63rd_item(self):
+        # Free compilation of 70 informative items: the Gaussian hill-climb
+        # would take all of them.
+        model = make_model([(0.6 + 0.003 * i, 0.4 - 0.002 * i) for i in range(70)])
+        with pytest.raises(CapExceededError) as excinfo:
+            greedy_select(model, method="gaussian", table_cap=100)
+        assert str(excinfo.value) == (
+            "a table over 63 items needs 2^63 cells, beyond the 62-bit memory-cost budget"
+        )
 
     def test_value_strictly_decreases_in_each_active_cost(self):
         model = make_model(

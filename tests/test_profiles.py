@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import sact.profiles
 from sact import (
     CapExceededError,
     DiagnosisModel,
@@ -91,6 +92,22 @@ class TestRealizeProfile:
         items = realize_profile(PRESETS["high"])
         assert len(items) == 60
         assert [item.id for item in items] == sorted(item.id for item in items)
+
+    def test_profile_cap_admits_its_size_and_refuses_one_more(self, monkeypatch):
+        monkeypatch.setattr(sact.profiles, "PROFILE_CAP", 3)
+        flat = dict(intercept=2.0, slope=0.0, w_max=1.0)
+        assert len(realize_profile(WeightProfile.linear_decay("flat", count=3, **flat))) == 3
+        assert len(realize_profile(WeightProfile.explicit("w", [0.5, 1.0, 1.5]))) == 3
+        for profile in (WeightProfile.linear_decay("flat", count=4, **flat),
+                        WeightProfile.explicit("w", [0.5, 1.0, 1.5, 2.0])):
+            with pytest.raises(CapExceededError) as excinfo:
+                realize_profile(profile)
+            assert str(excinfo.value) == (
+                f"profile {profile.name!r} has 4 items, above the profile cap of 3"
+            )
+
+    def test_profile_cap_admits_the_presets(self):
+        assert all(profile.count <= sact.profiles.PROFILE_CAP for profile in PRESETS.values())
 
 
 class TestTopnSubset:
@@ -287,6 +304,15 @@ class TestProfileFromDict:
             profile_from_dict({"name": "x", "kind": "explicit", "weights": [True]})
         with pytest.raises(FormatError):
             profile_from_dict([1, 2])
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        huge = 10**400
+        with pytest.raises(FormatError, match=r"^profile.weights\[1\]: integer too large"):
+            profile_from_dict({"name": "x", "kind": "explicit", "weights": [1.0, huge]})
+        decay = {"name": "x", "kind": "linear-decay", "intercept": huge, "slope": 0.25,
+                 "w_max": 4.0, "count": 12}
+        with pytest.raises(FormatError, match=r"^profile.intercept: integer too large"):
+            profile_from_dict(decay)
 
 
 class TestPresets:

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -11,10 +12,14 @@ from sact import (
     CostModel,
     FormatError,
     ObservationError,
+    UnknownEvidenceError,
     compile_table,
     exact_ev_subset,
     exhaustive_subset_search,
+    gaussian_ev_subset,
     greedy_select,
+    model_from_json,
+    model_to_json,
     niv,
     optimal_action,
     read_table,
@@ -297,6 +302,99 @@ class TestPrefixKernelBitIdentity:
             acts = weights >= threshold(model.utilities, model.p_h).w_star
             bits = np.packbits(acts, bitorder="little").tobytes()
             assert compile_table(model, subset).action_bits == bits
+
+
+def hexed(evaluation) -> tuple:
+    """An evaluation's fields, floats by ``float.hex``."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in vars(evaluation).values())
+
+
+def record_models() -> list:
+    """The identity models (random and tie models) and more random models."""
+    rng = random.Random(17)
+    return identity_models(211) + [random_model(rng, rng.randint(2, 9)) for _ in range(8)]
+
+
+# Free compilation of eight informative items: greedy selection keeps several.
+EIGHT_ITEMS = [(0.9 - 0.05 * i, 0.2 + 0.03 * i) for i in range(8)]
+
+
+class TestValuationRecord:
+    """Greedy selection records each accepted step's valuation on the model,
+    and the ``*_ev_subset`` valuations read it."""
+
+    @pytest.mark.parametrize("table_cap", [1, -1, sact.table.DEFAULT_TABLE_CAP])
+    @pytest.mark.parametrize("lookahead", [0, 1, 2])
+    @pytest.mark.parametrize("method", ["exact", "gaussian"])
+    def test_valuations_after_greedy_equal_a_fresh_model(self, method, lookahead, table_cap):
+        for model in record_models():
+            text = model_to_json(model)
+            subset, trace = greedy_select(model, method=method, lookahead=lookahead,
+                                          table_cap=table_cap)
+            ids = [item.id for item in model.evidence]
+            accepted = [step.evidence_id for step in trace.steps]
+            for probe in {tuple(subset), tuple(accepted), tuple(accepted[:-1]), tuple(ids)}:
+                fresh = model_from_json(text)
+                assert hexed(exact_ev_subset(model, probe)) == hexed(exact_ev_subset(fresh, probe))
+                assert hexed(gaussian_ev_subset(model, probe)) == hexed(
+                    gaussian_ev_subset(fresh, probe))
+
+    def test_the_record_is_read_not_valued_again(self, monkeypatch):
+        model = make_model(EIGHT_ITEMS)
+        subset, _ = greedy_select(model)
+        assert len(subset) >= 2
+        expected = exact_ev_subset(model_from_json(model_to_json(model)), subset)
+
+        def refuse(*args):
+            raise AssertionError("valued a recorded subset again")
+
+        monkeypatch.setattr(sact.table, "_evaluator", refuse)
+        assert exact_ev_subset(model, subset) == expected
+        assert expected.enumerated_count == 1 << len(subset)
+
+    def test_record_holds_the_accepted_steps_only(self):
+        # Runs with other caps or lookahead accept prefixes of the same steps.
+        model = make_model(EIGHT_ITEMS)
+        expected = set()
+        for method in ("exact", "gaussian"):
+            for lookahead, table_cap in ((2, 25), (0, 25), (1, 3)):
+                _, trace = greedy_select(model, method=method, lookahead=lookahead,
+                                         table_cap=table_cap)
+                steps = [step.evidence_id for step in trace.steps]
+                expected |= {(method, tuple(steps[:k])) for k in range(1, len(steps) + 1)}
+        assert set(model.valuation_record) == expected
+        assert len(expected) <= 2 * len(model.evidence)
+
+    def test_exhaustive_search_writes_no_record(self):
+        model = make_model([(0.8, 0.2), (0.7, 0.35), (0.6, 0.3)])
+        exhaustive_subset_search(model)
+        assert model.valuation_record == {}
+
+    def test_errors_unchanged_on_a_model_with_a_record(self):
+        model = make_model(EIGHT_ITEMS)
+        subset, _ = greedy_select(model)
+        assert len(subset) >= 2 and (("exact", subset) in model.valuation_record)
+        with pytest.raises(CapExceededError) as excinfo:
+            exact_ev_subset(model, subset, cap=len(subset) - 1)
+        assert str(excinfo.value) == (
+            f"subset of {len(subset)} items exceeds the enumeration cap of "
+            f"{len(subset) - 1} (would require 2^{len(subset)} assignments)"
+        )
+        for valuation in (exact_ev_subset, gaussian_ev_subset):
+            with pytest.raises(UnknownEvidenceError, match="unknown evidence id 'nope'"):
+                valuation(model, list(subset) + ["nope"])
+            with pytest.raises(UnknownEvidenceError, match="duplicate evidence id"):
+                valuation(model, list(subset) + [subset[0]])
+
+    def test_a_model_with_a_record_pickles_and_compares_equal(self):
+        model = make_model(EIGHT_ITEMS)
+        greedy_select(model)
+        assert model.valuation_record
+        again = pickle.loads(pickle.dumps(model))
+        assert again == model
+        assert hash(again) == hash(model)
+        assert again.valuation_record == model.valuation_record
+        assert model == model_from_json(model_to_json(model))
 
 
 class TestCapMessages:
