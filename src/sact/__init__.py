@@ -20,7 +20,6 @@ from .gaussian import (
     MomentSummary,
     evidence_moments,
     gaussian_tail,
-    normal_cdf,
     sum_moments,
 )
 from .model import (
@@ -51,9 +50,7 @@ from .niv import (
     TablePolicy,
     TreePolicy,
     compare_policies,
-    memory_costs,
     niv,
-    processing_costs,
 )
 from .profiles import (
     LossCurve,
@@ -64,7 +61,6 @@ from .profiles import (
     export_moments,
     loss_curve,
     realize_profile,
-    topn_subset,
 )
 from .table import (
     CompiledTable,
@@ -89,7 +85,6 @@ from .tree import (
     Leaf,
     SituationActionTree,
     build_tree,
-    count_nodes,
     export_tree,
     tree_ev,
     tree_from_json,

@@ -24,7 +24,7 @@ from .errors import (
     UnknownEvidenceError,
 )
 from .exact import DEFAULT_ENUMERATION_CAP
-from .gaussian import LOW_N_THRESHOLD
+from .gaussian import LOW_N_THRESHOLD, low_n
 from .model import (
     DiagnosisModel,
     UtilityTable,
@@ -122,7 +122,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _warn_low_n(model: DiagnosisModel, method: str) -> None:
-    if method == "gaussian" and len(model.evidence) < LOW_N_THRESHOLD:
+    if method == "gaussian" and low_n(len(model.evidence)):
         _note(
             f"note: the normal approximation is unreliable below {LOW_N_THRESHOLD} "
             "summed items; prefer --method exact at this size"

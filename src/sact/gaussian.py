@@ -24,6 +24,11 @@ LOW_N_THRESHOLD = 10
 _SQRT2 = math.sqrt(2.0)
 
 
+def low_n(n: int) -> bool:
+    """Whether a sum of ``n`` items is too short for the normal approximation."""
+    return n < LOW_N_THRESHOLD
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Mean and variance of the summed weight under each hypothesis."""

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 from .errors import CapExceededError, DomainError, MethodError, UnknownEvidenceError
-from .model import CostModel, DiagnosisModel
+from .model import CostModel, DiagnosisModel, fields_dict
 
 Method = Literal["exact", "gaussian"]
 
 # 2^n memory cost cells overflow any realistic budget long before this, but
 # the hard refusal keeps the arithmetic in safely representable territory.
-DEFAULT_MAX_TABLE_BITS = 62
+MAX_TABLE_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,7 @@ class NivReport:
     method: Method
 
     def to_dict(self) -> dict:
-        return {
-            "policy": _policy_dict(self.policy),
-            "ev": self.ev,
-            "pc_h": self.pc_h,
-            "pc_nh": self.pc_nh,
-            "mc": self.mc,
-            "niv": self.niv,
-            "method": self.method,
-        }
+        return {**fields_dict(self), "policy": _policy_dict(self.policy)}
 
 
 @dataclass(frozen=True)
@@ -103,18 +95,16 @@ def processing_costs(costs: CostModel, policy: Policy) -> tuple[float, float]:
     return 0.0, 0.0
 
 
-def memory_costs(
-    costs: CostModel, policy: Policy, *, max_table_bits: int = DEFAULT_MAX_TABLE_BITS
-) -> float:
+def memory_costs(costs: CostModel, policy: Policy) -> float:
     """Memory cost of holding the policy: k5 per cell, k5*k6 per tree node."""
     if isinstance(policy, ComputePolicy):
         return costs.k5 * policy.m
     if isinstance(policy, TablePolicy):
         n = len(policy.subset)
-        if n > max_table_bits:
+        if n > MAX_TABLE_BITS:
             raise CapExceededError(
                 f"a table over {n} items needs 2^{n} cells, beyond the "
-                f"{max_table_bits}-bit memory-cost budget"
+                f"{MAX_TABLE_BITS}-bit memory-cost budget"
             )
         return costs.k5 * float(1 << n)
     return costs.k5 * costs.k6 * policy.node_count
@@ -166,7 +156,7 @@ def table_niv(model: DiagnosisModel, subset: tuple[str, ...], ev: float) -> floa
     Subset selection values many candidates whose ids it has already
     resolved, so it calls this once per candidate and builds a
     :class:`NivReport` only for the subset it returns.  A table over more
-    than ``DEFAULT_MAX_TABLE_BITS`` items is refused, as :func:`niv` refuses
+    than ``MAX_TABLE_BITS`` items is refused, as :func:`niv` refuses
     it.
     """
     return _assess(model, TablePolicy(subset), ev)[3]

@@ -20,7 +20,14 @@ from typing import Literal, Sequence
 from .errors import CapExceededError, DomainError, FormatError
 from .exact import DEFAULT_ENUMERATION_CAP, compose_ev
 from .gaussian import empty_prefix, extend
-from .model import CostModel, DiagnosisModel, EvidenceVariable, UtilityTable, utf8_string
+from .model import (
+    CostModel,
+    DiagnosisModel,
+    EvidenceVariable,
+    UtilityTable,
+    finite_number,
+    utf8_string,
+)
 from .niv import Method
 from .table import _evaluator
 
@@ -82,15 +89,6 @@ PRESETS: dict[str, WeightProfile] = {
 }
 
 
-def _number(value: object, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{where}: expected a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise FormatError(f"{where}: integer too large for a float") from None
-
-
 def profile_from_dict(data: object) -> WeightProfile:
     """Load a profile from its JSON object form: {name, kind, params...}."""
     if not isinstance(data, dict):
@@ -104,7 +102,8 @@ def profile_from_dict(data: object) -> WeightProfile:
         if isinstance(data["count"], bool) or not isinstance(data["count"], int):
             raise FormatError("profile.count: expected an integer")
         numbers = {
-            key: _number(data[key], f"profile.{key}") for key in ("intercept", "slope", "w_max")
+            key: finite_number(data[key], f"profile.{key}")
+            for key in ("intercept", "slope", "w_max")
         }
         return WeightProfile.linear_decay(name, count=data["count"], **numbers)
     if kind == "explicit":
@@ -115,7 +114,7 @@ def profile_from_dict(data: object) -> WeightProfile:
         if not isinstance(data["weights"], list):
             raise FormatError("profile.weights: expected an array")
         weights = [
-            _number(value, f"profile.weights[{i}]") for i, value in enumerate(data["weights"])
+            finite_number(value, f"profile.weights[{i}]") for i, value in enumerate(data["weights"])
         ]
         return WeightProfile.explicit(name, weights)
     raise FormatError(f"profile.kind must be 'linear-decay' or 'explicit', got {kind!r}")
@@ -180,7 +179,7 @@ def topn_subset(evidence: Sequence[EvidenceVariable], n: int) -> list[str]:
     """Ids of the n items with the largest true-branch weights (ties by id)."""
     if not (0 <= n <= len(evidence)):
         raise DomainError(f"n = {n} out of range for {len(evidence)} evidence items")
-    ranked = sorted(evidence, key=lambda item: (-math.log(item.alpha / item.beta), item.id))
+    ranked = sorted(evidence, key=lambda item: (-item.weights.w_pos, item.id))
     return [item.id for item in ranked[:n]]
 
 

@@ -41,7 +41,6 @@ from .exact import (
     resolve_subset,
     weight_sums,
 )
-from .gaussian import LOW_N_THRESHOLD
 from .model import Action, DiagnosisModel, Observation, model_digest, threshold
 from .niv import Method, NivReport, TablePolicy, niv, table_niv
 
@@ -231,7 +230,7 @@ def gaussian_ev_subset(model: DiagnosisModel, subset: Sequence[str]) -> Gaussian
     n = len(resolve_subset(model, subset))
     p_act_h, p_act_nh = _valuation(model, "gaussian", subset, n)
     return GaussianEvaluation(
-        compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, n, n < LOW_N_THRESHOLD
+        compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh, n, gaussian.low_n(n)
     )
 
 

@@ -34,7 +34,6 @@ from .model import (
     DiagnosisModel,
     EvidenceVariable,
     Observation,
-    WeightPair,
     model_digest,
     optimal_action,
     parse_json,
@@ -98,11 +97,26 @@ class BuildTrace:
 
 def _leaf_value(model: DiagnosisModel, p_path_h: float, p_path_nh: float, action: Action) -> float:
     """A leaf's share of the expected value: path probability times utility, by hypothesis."""
+    # Not exact.compose_ev over the tree's (P(act | H), P(act | not-H)): that
+    # sums the leaves' path probabilities before weighting them by utility,
+    # which rounds differently.  It differed from tree_ev by float.hex on 56
+    # of 190 trees (build_tree at lookahead 0 and 1 on the identity, tie and
+    # random test models), so the values analyze reports would change.
     u = model.utilities
     p_h = model.p_h
     if action is Action.ACT:
         return p_h * p_path_h * u.u_h_d + (1.0 - p_h) * p_path_nh * u.u_nh_d
     return p_h * p_path_h * u.u_h_nd + (1.0 - p_h) * p_path_nh * u.u_nh_nd
+
+
+def _branches(item: EvidenceVariable) -> tuple[tuple[float, float, float], ...]:
+    """(P(E | H), P(E | not-H), weight) of the item observed true, then false.
+
+    A path through a tree multiplies these probabilities and sums these
+    weights along it.
+    """
+    pair = item.weights
+    return (item.alpha, item.beta, pair.w_pos), (1.0 - item.alpha, 1.0 - item.beta, pair.w_neg)
 
 
 def tree_ev(model: DiagnosisModel, tree: SituationActionTree) -> float:
@@ -112,9 +126,9 @@ def tree_ev(model: DiagnosisModel, tree: SituationActionTree) -> float:
     hypothesis (a product of per-branch conditional probabilities) times the
     leaf action's utility, weighted by the prior.  Walks the true branch
     first.  Rejects trees that retest an id along a path or test ids the
-    model does not define.
+    model does not define, and models holding an item outside (0, 1).
     """
-    lookup = model.evidence_map()
+    branches = {item.id: _branches(item) for item in model.evidence}
 
     def walk(node: Node, p_path_h: float, p_path_nh: float, used: frozenset[str]) -> float:
         if isinstance(node, Leaf):
@@ -122,12 +136,12 @@ def tree_ev(model: DiagnosisModel, tree: SituationActionTree) -> float:
         if node.evidence_id in used:
             raise DomainError(f"evidence id {node.evidence_id!r} repeats along a path")
         try:
-            item = lookup[node.evidence_id]
+            (a1, b1, _), (a0, b0, _) = branches[node.evidence_id]
         except KeyError:
             raise UnknownEvidenceError(f"unknown evidence id {node.evidence_id!r}") from None
         used = used | {node.evidence_id}
-        return walk(node.if_true, p_path_h * item.alpha, p_path_nh * item.beta, used) + walk(
-            node.if_false, p_path_h * (1.0 - item.alpha), p_path_nh * (1.0 - item.beta), used
+        return walk(node.if_true, p_path_h * a1, p_path_nh * b1, used) + walk(
+            node.if_false, p_path_h * a0, p_path_nh * b0, used
         )
 
     return walk(tree.root, 1.0, 1.0, frozenset())
@@ -141,7 +155,6 @@ def tree_niv(model: DiagnosisModel, tree: SituationActionTree) -> NivReport:
 def build_tree(
     model: DiagnosisModel,
     *,
-    method: str = "exact",
     lookahead: int = 0,
     cap: int = DEFAULT_TREE_CAP,
 ) -> tuple[SituationActionTree, BuildTrace]:
@@ -159,8 +172,6 @@ def build_tree(
     Path probabilities are cheap running products, so valuation is exact;
     there is no Gaussian variant for asymmetric paths.
     """
-    if method != "exact":
-        raise MethodError("situation-action trees are built and valued exactly; use method='exact'")
     if lookahead < 0:
         raise MethodError("lookahead depth must be >= 0")
     if len(model.evidence) > cap:
@@ -170,7 +181,7 @@ def build_tree(
     thr = threshold(model.utilities, model.p_h)
     node_cost = model.costs.k5 * model.costs.k6
     r = model.costs.r
-    candidates = [(item, item.weights) for item in model.evidence]
+    candidates = [(item, _branches(item)) for item in model.evidence]
 
     def grow(
         p_path_h: float,
@@ -181,23 +192,17 @@ def build_tree(
     ) -> tuple[Node, float, list[tuple[str, float]]]:
         action = optimal_action(w_path, thr)
         base = _leaf_value(model, p_path_h, p_path_nh, action)
-        # (dniv, dev, item, pair)
-        best: tuple[float, float, EvidenceVariable, WeightPair] | None = None
-        for item, pair in candidates:
+        # (dniv, dev, item, branches)
+        best: tuple[float, float, EvidenceVariable, tuple] | None = None
+        for item, branches in candidates:
             if item.id in used:
                 continue
-            split_ev = _leaf_value(
-                model,
-                p_path_h * item.alpha,
-                p_path_nh * item.beta,
-                optimal_action(w_path + pair.w_pos, thr),
+            (a1, b1, w1), (a0, b0, w0) = branches
+            dev = _leaf_value(
+                model, p_path_h * a1, p_path_nh * b1, optimal_action(w_path + w1, thr)
             ) + _leaf_value(
-                model,
-                p_path_h * (1.0 - item.alpha),
-                p_path_nh * (1.0 - item.beta),
-                optimal_action(w_path + pair.w_neg, thr),
-            )
-            dev = split_ev - base
+                model, p_path_h * a0, p_path_nh * b0, optimal_action(w_path + w0, thr)
+            ) - base
             dniv = r * dev - 2.0 * node_cost
             if (
                 best is None
@@ -205,28 +210,19 @@ def build_tree(
                 or (dniv == best[0] and dev > best[1])
                 or (dniv == best[0] and dev == best[1] and item.id < best[2].id)
             ):
-                best = (dniv, dev, item, pair)
+                best = (dniv, dev, item, branches)
         if best is None:
             return Leaf(action), 0.0, []
-        dniv, _, item, pair = best
+        dniv, _, item, branches = best
         evidence_id = item.id
 
         def children(child_tolerance: int):
-            true_node, true_gain, true_events = grow(
-                p_path_h * item.alpha,
-                p_path_nh * item.beta,
-                w_path + pair.w_pos,
-                used | {evidence_id},
-                child_tolerance,
-            )
-            false_node, false_gain, false_events = grow(
-                p_path_h * (1.0 - item.alpha),
-                p_path_nh * (1.0 - item.beta),
-                w_path + pair.w_neg,
-                used | {evidence_id},
-                child_tolerance,
-            )
-            return true_node, false_node, true_gain + false_gain, true_events + false_events
+            used_below = used | {evidence_id}
+            (a1, b1, w1), (a0, b0, w0) = branches
+            if_true = grow(p_path_h * a1, p_path_nh * b1, w_path + w1, used_below, child_tolerance)
+            if_false = grow(p_path_h * a0, p_path_nh * b0, w_path + w0, used_below, child_tolerance)
+            # (true node, false node, their NIV gain, their expansion events)
+            return if_true[0], if_false[0], if_true[1] + if_false[1], if_true[2] + if_false[2]
 
         if dniv > 0.0:
             true_node, false_node, child_gain, child_events = children(lookahead)

@@ -283,6 +283,28 @@ def test_proto_profile_integer_too_large_for_a_float_exits_two(workspace):
     assert result.stderr == b"error: profile.weights[0]: integer too large for a float\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"name": "d", "kind": "linear-decay", "intercept": NaN, "slope": 0.25, '
+            '"w_max": 4.0, "count": 10}',
+            b"error: profile.intercept: expected a finite number, got nan\n",
+        ),
+        (
+            '{"name": "w", "kind": "explicit", "weights": [1.0, Infinity]}',
+            b"error: profile.weights[1]: expected a finite number, got inf\n",
+        ),
+    ],
+)
+def test_proto_profile_non_finite_number_exits_two(workspace, text, message):
+    (workspace / "nonfinite.json").write_text(text)
+    result = run_sact("proto", "--profile-file", "nonfinite.json", cwd=workspace)
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == message
+
+
 def test_proto_presets_with_moments(workspace):
     result = run_sact("proto", "--moments-out", "moments.csv", cwd=workspace)
     assert result.returncode == 0

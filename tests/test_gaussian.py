@@ -10,10 +10,10 @@ from sact import (
     exact_ev_subset,
     gaussian_ev_subset,
     gaussian_tail,
-    normal_cdf,
     sum_moments,
     weight_pair,
 )
+from sact.gaussian import normal_cdf
 
 from helpers import (
     concatenated_arrays,

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -15,6 +16,7 @@ from sact import (
     UtilityTable,
     Violation,
     build_tree,
+    compile_table,
     exact_ev_subset,
     gaussian_ev_subset,
     model_digest,
@@ -26,6 +28,7 @@ from sact import (
     threshold,
     validate_model,
     weight_pair,
+    write_table,
 )
 
 from helpers import ZERO_COSTS, m1, make_model, random_model
@@ -323,6 +326,17 @@ class TestModelJson:
         assert len(a) == 32
         assert a == model_digest(m1())
         assert a != model_digest(make_model([(0.8, 0.3)]))
+
+    def test_canonical_form_is_pinned(self):
+        # Every table and tree embeds this digest, so a change to the canonical
+        # JSON layout would make every existing artifact stale.
+        assert model_digest(m1()).hex() == (
+            "6bfc6a2cc15b0d4efb02c514fe29e87235a1ae0deeb1fd5e1d408bcc8a99835b"
+        )
+        table = write_table(compile_table(m1(), ["e1"]))
+        assert hashlib.sha256(table).hexdigest() == (
+            "20b010d025d3cffcf7f402e9e61b8ce81f464687b2602b58f4260ef5784295ea"
+        )
 
     def test_digest_ignores_textual_number_spelling(self):
         text = json.dumps(model_to_dict(m1())).replace("1.0", "1")

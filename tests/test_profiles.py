@@ -19,10 +19,9 @@ from sact import (
     export_moments,
     loss_curve,
     realize_profile,
-    topn_subset,
     weight_pair,
 )
-from sact.profiles import LossRow, profile_from_dict
+from sact.profiles import LossRow, profile_from_dict, topn_subset
 
 from helpers import (
     SYMMETRIC_UTILITIES,

@@ -10,12 +10,10 @@ from sact import (
     DomainError,
     FormatError,
     Leaf,
-    MethodError,
     ObservationError,
     SituationActionTree,
     UnknownEvidenceError,
     build_tree,
-    count_nodes,
     exact_ev_subset,
     export_tree,
     model_digest,
@@ -27,6 +25,7 @@ from sact import (
     tree_niv,
     weight_pair,
 )
+from sact.tree import count_nodes
 
 from helpers import (
     UNIT_COSTS,
@@ -139,10 +138,6 @@ class TestBuildTree:
         tree, _ = build_tree(make_model([]))
         assert tree.node_count == 1
         assert tree.root.action is Action.ACT
-
-    def test_gaussian_mode_rejected(self):
-        with pytest.raises(MethodError, match="exact"):
-            build_tree(m1(), method="gaussian")
 
     def test_cap_refusal(self):
         model = make_model([(0.6, 0.4)] * 4)
