@@ -12,8 +12,9 @@ for the largest prefix its caller can reach: each caller knows before the
 first extension how many bytes the prefix will need.  :func:`extend`
 appends one item in place, allocating nothing, and
 :func:`act_probabilities` values the prefix plus one more item without
-building that item's arrays.  Both read the item's weight pair, computed
-once when the item was made (:attr:`~sact.model.EvidenceVariable.weights`).
+building that item's arrays.  Both read the item's two branches, (P(E | H),
+P(E | not-H), weight) for E true and for E false, from its record, computed
+once when the item was made (:attr:`~sact.model.EvidenceVariable.record`).
 :mod:`sact.table` values every subset through this kernel, extending one
 prefix.  Every weight sum is still accumulated left to right over the
 subset, so all results are bit-identical to enumerating each subset from
@@ -98,12 +99,8 @@ def extend(prefix: Prefix, item: EvidenceVariable, out: Prefix | None = None) ->
     if out is None:
         out = prefix
     n = len(prefix.arrays[0])
-    pair = item.weights
-    steps = (
-        (np.add, pair.w_neg, pair.w_pos),
-        (np.multiply, 1.0 - item.alpha, item.alpha),
-        (np.multiply, 1.0 - item.beta, item.beta),
-    )
+    (a1, b1, w1), (a0, b0, w0) = item.record.branches
+    steps = ((np.add, w0, w1), (np.multiply, a0, a1), (np.multiply, b0, b1))
     for source, target, (op, if_false, if_true) in zip(prefix.arrays, out.buffers, steps):
         op(source, if_true, out=target[n : 2 * n])
         op(source, if_false, out=target[:n])
@@ -124,27 +121,27 @@ def act_probabilities(
     on the threshold, ``weights >= w_star - w`` can round the other way.
     """
     weights, p_given_h, p_given_nh = prefix.arrays
-    pair = item.weights
-    low = weights + pair.w_neg >= w_star
-    high = weights + pair.w_pos >= w_star
+    (a1, b1, w1), (a0, b0, w0) = item.record.branches
+    low = weights + w0 >= w_star
+    high = weights + w1 >= w_star
     split = int(np.count_nonzero(low))
     size = split + int(np.count_nonzero(high))
 
-    def acting_mass(p: np.ndarray, q: float) -> float:
+    def acting_mass(p: np.ndarray, if_false: float, if_true: float) -> float:
         acting = np.empty(size)
-        np.multiply(p[low], 1.0 - q, out=acting[:split])
-        np.multiply(p[high], q, out=acting[split:])
+        np.multiply(p[low], if_false, out=acting[:split])
+        np.multiply(p[high], if_true, out=acting[split:])
         return float(acting.sum())
 
-    return acting_mass(p_given_h, item.alpha), acting_mass(p_given_nh, item.beta)
+    return acting_mass(p_given_h, a0, a1), acting_mass(p_given_nh, b0, b1)
 
 
-def weight_sums(
-    model: DiagnosisModel, subset: Sequence[str], *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
-    """Summed evidence weight of every assignment of a subset, in index order."""
+def weight_sums(model: DiagnosisModel, subset: Sequence[str]) -> np.ndarray:
+    """Summed evidence weight of every assignment of a subset, in index order.
+
+    Callers bound the subset's size: the buffer holds 2^n entries.
+    """
     items = resolve_subset(model, subset)
-    check_enumeration_cap(len(items), cap)
     prefix = Prefix(len(items), (0.0,))
     for item in items:
         extend(prefix, item)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .model import DiagnosisModel, EvidenceVariable, Side, WeightPair, weight_pair
+from .model import DiagnosisModel, EvidenceVariable, Side, item_record
 from .exact import resolve_subset
 
 # Below this many summed items the normal approximation is considered poor;
@@ -40,7 +40,7 @@ class MomentSummary:
     n: int
 
 
-def evidence_moments(alpha: float, beta: float, pair: WeightPair | None = None) -> MomentSummary:
+def evidence_moments(alpha: float, beta: float) -> MomentSummary:
     """Per-item moments of the weight of one evidence variable.
 
     Given H the weight is w_pos with probability alpha and w_neg otherwise:
@@ -48,19 +48,10 @@ def evidence_moments(alpha: float, beta: float, pair: WeightPair | None = None) 
         E[w|H]   = alpha*ln(alpha/beta) + (1-alpha)*ln((1-alpha)/(1-beta))
         Var[w|H] = alpha*(1-alpha) * ln^2[ alpha*(1-beta) / (beta*(1-alpha)) ]
 
-    and symmetrically with beta given not-H.  ``pair`` is the item's
-    weights when the caller holds them, as the prefix kernel does.
+    and symmetrically with beta given not-H: the moments of
+    :func:`~sact.model.item_record`, which every item holds in its record.
     """
-    if pair is None:
-        pair = weight_pair(alpha, beta)
-    spread = math.log(alpha * (1.0 - beta) / (beta * (1.0 - alpha)))
-    return MomentSummary(
-        mean_h=alpha * pair.w_pos + (1.0 - alpha) * pair.w_neg,
-        var_h=alpha * (1.0 - alpha) * spread * spread,
-        mean_nh=beta * pair.w_pos + (1.0 - beta) * pair.w_neg,
-        var_nh=beta * (1.0 - beta) * spread * spread,
-        n=1,
-    )
+    return MomentSummary(*item_record(alpha, beta).moments, n=1)
 
 
 # A prefix's running sums of the fields of :class:`MomentSummary`, in order,
@@ -73,17 +64,19 @@ def empty_prefix() -> Prefix:
     return [0.0, 0.0, 0.0, 0.0, 0]
 
 
+def _plus(prefix: Prefix, item: EvidenceVariable) -> Prefix:
+    """The prefix's sums with one trailing item's moments added."""
+    return [s + x for s, x in zip(prefix, (*item.record.moments, 1))]
+
+
 def extend(prefix: Prefix, item: EvidenceVariable) -> None:
     """Add one trailing item's moments to a prefix's sums, in place."""
-    m = evidence_moments(item.alpha, item.beta, item.weights)
-    prefix[:] = [s + x for s, x in zip(prefix, (m.mean_h, m.var_h, m.mean_nh, m.var_nh, 1))]
+    prefix[:] = _plus(prefix, item)
 
 
 def act_probabilities(prefix: Prefix, item: EvidenceVariable, w_star: float) -> tuple[float, float]:
     """Gaussian P(act | H) and P(act | not-H) of the prefix plus one trailing item."""
-    total = list(prefix)
-    extend(total, item)
-    moments = MomentSummary(*total)
+    moments = MomentSummary(*_plus(prefix, item))
     return gaussian_tail(moments, w_star, "H"), gaussian_tail(moments, w_star, "notH")
 
 

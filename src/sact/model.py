@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 from .errors import DomainError, FormatError, UnknownEvidenceError
 
@@ -54,22 +54,35 @@ class EvidenceVariable:
     beta: float
 
     def __post_init__(self) -> None:
-        # The weights are computed once, when the item is made, so that no
-        # valuation or search recomputes or allocates them.  An item outside
-        # (0, 1) keeps None and raises when they are read: a model holding
-        # one still parses, and ``validate_model`` reports it.
+        # The record is computed once, when the item is made, so that no
+        # valuation or search recomputes or allocates it.  An item outside
+        # (0, 1) keeps None and raises when it is read: a model holding one
+        # still parses, and ``validate_model`` reports it.
         try:
-            pair: WeightPair | None = weight_pair(self.alpha, self.beta)
+            record: ItemRecord | None = item_record(self.alpha, self.beta)
         except (DomainError, TypeError):
-            pair = None
-        object.__setattr__(self, "_weights", pair)
+            record = None
+        object.__setattr__(self, "_record", record)
 
     @property
-    def weights(self) -> WeightPair:
-        """The item's :func:`weight_pair`, computed when the item was made."""
-        if self._weights is None:
-            weight_pair(self.alpha, self.beta)  # raises the DomainError
-        return self._weights
+    def record(self) -> ItemRecord:
+        """The item's :func:`item_record`, computed when the item was made."""
+        if self._record is None:
+            item_record(self.alpha, self.beta)  # raises the DomainError
+        return self._record
+
+
+class ItemRecord(NamedTuple):
+    """Everything a kernel reads of one evidence item.
+
+    ``branches`` holds (P(E | H), P(E | not-H), weight) for the item observed
+    true, then for it observed false: a path or an assignment multiplies the
+    probabilities and sums the weights.  ``moments`` holds the mean and the
+    variance of the item's weight under H, then under not-H.
+    """
+
+    branches: tuple[tuple[float, float, float], tuple[float, float, float]]
+    moments: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -262,11 +275,43 @@ def weight_pair(alpha: float, beta: float) -> WeightPair:
 
     w_pos = ln(alpha/beta);  w_neg = ln((1-alpha)/(1-beta)).
     """
+    (_, _, w_pos), (_, _, w_neg) = item_record(alpha, beta).branches
+    return WeightPair(w_pos, w_neg)
+
+
+def item_record(alpha: float, beta: float) -> ItemRecord:
+    """The branches and weight moments of one evidence variable.
+
+    The weights are w_pos = ln(alpha/beta) and w_neg = ln((1-alpha)/(1-beta)).
+    Given H the weight is w_pos with probability alpha and w_neg otherwise:
+
+        E[w|H]   = alpha*w_pos + (1-alpha)*w_neg
+        Var[w|H] = alpha*(1-alpha) * ln^2[ alpha*(1-beta) / (beta*(1-alpha)) ]
+
+    and symmetrically with beta given not-H.  Raises :class:`DomainError`
+    for alpha or beta outside (0, 1).  When alpha or beta sits so near 0 or
+    1 that the spread's ratio rounds to 0 or divides by 0, the variances are
+    NaN, which the Gaussian tail refuses.
+    """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha = {alpha!r} must lie strictly inside (0, 1)")
     if not (0.0 < beta < 1.0):
         raise DomainError(f"beta = {beta!r} must lie strictly inside (0, 1)")
-    return WeightPair(math.log(alpha / beta), math.log((1.0 - alpha) / (1.0 - beta)))
+    not_alpha, not_beta = 1.0 - alpha, 1.0 - beta
+    w_pos, w_neg = math.log(alpha / beta), math.log(not_alpha / not_beta)
+    try:
+        spread = math.log(alpha * not_beta / (beta * not_alpha))
+    except (ValueError, ZeroDivisionError):
+        spread = math.nan
+    return ItemRecord(
+        ((alpha, beta, w_pos), (not_alpha, not_beta, w_neg)),
+        (
+            alpha * w_pos + not_alpha * w_neg,
+            alpha * not_alpha * spread * spread,
+            beta * w_pos + not_beta * w_neg,
+            beta * not_beta * spread * spread,
+        ),
+    )
 
 
 def threshold(utilities: UtilityTable, p_h: float) -> Threshold:
@@ -303,7 +348,8 @@ def posterior_odds(model: DiagnosisModel, observation: Observation) -> float:
     """Posterior odds of H after multiplying in each observed likelihood ratio.
 
     The observation may cover any subset of the model's evidence.  Factors are
-    multiplied in the observation's iteration order.
+    multiplied in the observation's iteration order.  An observed item
+    outside (0, 1) raises its :class:`DomainError`.
     """
     lookup = model.evidence_map()
     odds = model.p_h / (1.0 - model.p_h)
@@ -312,10 +358,8 @@ def posterior_odds(model: DiagnosisModel, observation: Observation) -> float:
             item = lookup[evidence_id]
         except KeyError:
             raise UnknownEvidenceError(f"unknown evidence id {evidence_id!r}") from None
-        if value:
-            odds *= item.alpha / item.beta
-        else:
-            odds *= (1.0 - item.alpha) / (1.0 - item.beta)
+        given_h, given_nh, _ = item.record.branches[0 if value else 1]
+        odds *= given_h / given_nh
     return odds
 
 

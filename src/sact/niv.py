@@ -162,6 +162,18 @@ def table_niv(model: DiagnosisModel, subset: tuple[str, ...], ev: float) -> floa
     return _assess(model, TablePolicy(subset), ev)[3]
 
 
+def outranks(value: float, ev: float, evidence_id: str, best: tuple | None) -> bool:
+    """Whether a candidate beats ``best``, a tuple that starts (NIV, EV, id), or None.
+
+    The order greedy selection and tree growth share: the higher NIV, then
+    the higher expected value, then the smaller id.  A NaN never displaces
+    the best.
+    """
+    return best is None or value > best[0] or (
+        value == best[0] and (ev > best[1] or (ev == best[1] and evidence_id < best[2]))
+    )
+
+
 def compare_policies(
     model: DiagnosisModel, compile_report: NivReport, compute_report: NivReport
 ) -> PolicyChoice:

@@ -179,7 +179,8 @@ def topn_subset(evidence: Sequence[EvidenceVariable], n: int) -> list[str]:
     """Ids of the n items with the largest true-branch weights (ties by id)."""
     if not (0 <= n <= len(evidence)):
         raise DomainError(f"n = {n} out of range for {len(evidence)} evidence items")
-    ranked = sorted(evidence, key=lambda item: (-item.weights.w_pos, item.id))
+    # The true branch's weight, w_pos.
+    ranked = sorted(evidence, key=lambda item: (-item.record.branches[0][2], item.id))
     return [item.id for item in ranked[:n]]
 
 

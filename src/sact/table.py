@@ -42,7 +42,7 @@ from .exact import (
     weight_sums,
 )
 from .model import Action, DiagnosisModel, Observation, model_digest, threshold
-from .niv import Method, NivReport, TablePolicy, niv, table_niv
+from .niv import Method, NivReport, TablePolicy, niv, outranks, table_niv
 
 DEFAULT_TABLE_CAP = 25
 DEFAULT_SEARCH_CAP = 15
@@ -338,16 +338,7 @@ def greedy_select(
             p_act = evaluate(candidate)
             ev = compose_ev(model, *p_act)
             value = table_niv(model, tuple(candidate), ev)
-            if (
-                best_candidate is None
-                or value > best_candidate[0]
-                or (value == best_candidate[0] and ev > best_candidate[1])
-                or (
-                    value == best_candidate[0]
-                    and ev == best_candidate[1]
-                    and evidence_id < best_candidate[2]
-                )
-            ):
+            if outranks(value, ev, evidence_id, best_candidate):
                 best_candidate = (value, ev, evidence_id, p_act)
         assert best_candidate is not None
         value, _, evidence_id, p_act = best_candidate
@@ -382,7 +373,7 @@ def compile_table(
         raise CapExceededError(
             f"subset of {len(subset)} items exceeds the table cap of {cap}"
         )
-    weights = weight_sums(model, subset, cap=cap)
+    weights = weight_sums(model, subset)
     thr = threshold(model.utilities, model.p_h)
     bits = np.packbits(weights >= thr.w_star, bitorder="little").tobytes()
     return CompiledTable(

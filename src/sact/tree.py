@@ -32,14 +32,13 @@ from .errors import (
 from .model import (
     Action,
     DiagnosisModel,
-    EvidenceVariable,
     Observation,
     model_digest,
     optimal_action,
     parse_json,
     threshold,
 )
-from .niv import NivReport, TreePolicy, niv
+from .niv import NivReport, TreePolicy, niv, outranks
 
 DEFAULT_TREE_CAP = 20
 
@@ -109,16 +108,6 @@ def _leaf_value(model: DiagnosisModel, p_path_h: float, p_path_nh: float, action
     return p_h * p_path_h * u.u_h_nd + (1.0 - p_h) * p_path_nh * u.u_nh_nd
 
 
-def _branches(item: EvidenceVariable) -> tuple[tuple[float, float, float], ...]:
-    """(P(E | H), P(E | not-H), weight) of the item observed true, then false.
-
-    A path through a tree multiplies these probabilities and sums these
-    weights along it.
-    """
-    pair = item.weights
-    return (item.alpha, item.beta, pair.w_pos), (1.0 - item.alpha, 1.0 - item.beta, pair.w_neg)
-
-
 def tree_ev(model: DiagnosisModel, tree: SituationActionTree) -> float:
     """Expected value of the actions the tree prescribes.
 
@@ -128,7 +117,7 @@ def tree_ev(model: DiagnosisModel, tree: SituationActionTree) -> float:
     first.  Rejects trees that retest an id along a path or test ids the
     model does not define, and models holding an item outside (0, 1).
     """
-    branches = {item.id: _branches(item) for item in model.evidence}
+    branches = {item.id: item.record.branches for item in model.evidence}
 
     def walk(node: Node, p_path_h: float, p_path_nh: float, used: frozenset[str]) -> float:
         if isinstance(node, Leaf):
@@ -181,7 +170,7 @@ def build_tree(
     thr = threshold(model.utilities, model.p_h)
     node_cost = model.costs.k5 * model.costs.k6
     r = model.costs.r
-    candidates = [(item, _branches(item)) for item in model.evidence]
+    candidates = [(item.id, item.record.branches) for item in model.evidence]
 
     def grow(
         p_path_h: float,
@@ -192,10 +181,10 @@ def build_tree(
     ) -> tuple[Node, float, list[tuple[str, float]]]:
         action = optimal_action(w_path, thr)
         base = _leaf_value(model, p_path_h, p_path_nh, action)
-        # (dniv, dev, item, branches)
-        best: tuple[float, float, EvidenceVariable, tuple] | None = None
-        for item, branches in candidates:
-            if item.id in used:
+        # (dniv, dev, id, branches)
+        best: tuple[float, float, str, tuple] | None = None
+        for evidence_id, branches in candidates:
+            if evidence_id in used:
                 continue
             (a1, b1, w1), (a0, b0, w0) = branches
             dev = _leaf_value(
@@ -204,17 +193,11 @@ def build_tree(
                 model, p_path_h * a0, p_path_nh * b0, optimal_action(w_path + w0, thr)
             ) - base
             dniv = r * dev - 2.0 * node_cost
-            if (
-                best is None
-                or dniv > best[0]
-                or (dniv == best[0] and dev > best[1])
-                or (dniv == best[0] and dev == best[1] and item.id < best[2].id)
-            ):
-                best = (dniv, dev, item, branches)
+            if outranks(dniv, dev, evidence_id, best):
+                best = (dniv, dev, evidence_id, branches)
         if best is None:
             return Leaf(action), 0.0, []
-        dniv, _, item, branches = best
-        evidence_id = item.id
+        dniv, _, evidence_id, branches = best
 
         def children(child_tolerance: int):
             used_below = used | {evidence_id}
@@ -330,7 +313,8 @@ def export_tree(tree: SituationActionTree, format: Literal["json", "dot"] = "jso
                 label = "D" if node.action is Action.ACT else "¬D"
                 lines.append(f'  n{name} [label="{label}" shape=box];')
             else:
-                lines.append(f'  n{name} [label="{node.evidence_id}" shape=ellipse];')
+                label = node.evidence_id.replace("\\", "\\\\").replace('"', '\\"')
+                lines.append(f'  n{name} [label="{label}" shape=ellipse];')
                 true_name = emit(node.if_true)
                 edges.append(f'  n{name} -> n{true_name} [label="T"];')
                 false_name = emit(node.if_false)
@@ -351,8 +335,10 @@ def tree_from_json(text: str) -> SituationActionTree:
         raise FormatError("tree document must be an object")
     if data.get("format") != TREE_FORMAT:
         raise FormatError("not a situation-action tree document")
-    if data.get("version") != TREE_FORMAT_VERSION:
-        raise FormatError(f"unsupported tree format version {data.get('version')!r}")
+    # type() rather than ==: true and 1.0 both equal 1.
+    version = data.get("version")
+    if type(version) is not int or version != TREE_FORMAT_VERSION:
+        raise FormatError(f"unsupported tree format version {version!r}")
     expected = {"format", "version", "model_digest", "node_count", "root"}
     if set(data) != expected:
         raise FormatError(f"tree document keys must be exactly {sorted(expected)}")
@@ -364,7 +350,7 @@ def tree_from_json(text: str) -> SituationActionTree:
         raise FormatError("model_digest must encode exactly 32 bytes")
     root = _node_from_dict(data["root"], "root")
     counted = count_nodes(root)
-    if data["node_count"] != counted:
+    if type(data["node_count"]) is not int or data["node_count"] != counted:
         raise FormatError(
             f"node_count is {data['node_count']!r} but the tree has {counted} nodes"
         )

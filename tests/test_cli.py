@@ -242,6 +242,44 @@ def test_tree_export_and_lookup(workspace):
     assert json.loads(result.stdout) == {"action": "D", "consulted": ["e1"]}
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ('"version": 1', '"version": true'),
+        ('"version": 1', '"version": 1.0'),
+        ('"node_count": 3', '"node_count": 3.0'),
+        ('"node_count": 1', '"node_count": true'),
+    ],
+)
+def test_tree_header_fields_must_be_integers(workspace, old, new):
+    m1_tree = json.loads(json.dumps(M1))
+    if old.startswith('"node_count": 1'):
+        # A one-leaf tree, so that node_count is 1 and true == 1.
+        m1_tree["costs"]["k5"] = m1_tree["costs"]["k6"] = 1
+    (workspace / "model.json").write_text(json.dumps(m1_tree))
+    result = run_sact("tree", "model.json", "--out", "t.json", cwd=workspace)
+    assert result.returncode == 0
+    text = (workspace / "t.json").read_text()
+    assert old in text
+    (workspace / "t.json").write_text(text.replace(old, new))
+    (workspace / "obs.json").write_text(json.dumps({"e1": True}))
+    result = run_sact("lookup", "model.json", "--tree", "t.json", "--obs", "obs.json",
+                      cwd=workspace)
+    assert result.returncode == 2
+    assert result.stderr.startswith(b"error: ")
+
+
+def test_gaussian_method_refuses_moments_it_cannot_compute(workspace):
+    tiny = json.loads(json.dumps(M1))
+    tiny["evidence"].append({"id": "e2", "alpha": 5e-324, "beta": 0.5})
+    (workspace / "tiny.json").write_text(json.dumps(tiny))
+    assert run_sact("validate", "tiny.json", cwd=workspace).returncode == 0
+    assert run_sact("analyze", "tiny.json", cwd=workspace).returncode == 0
+    result = run_sact("analyze", "tiny.json", "--method", "gaussian", cwd=workspace)
+    assert result.returncode == 1
+    assert result.stderr.endswith(b"invalid input: variance nan must be nonnegative\n")
+
+
 def test_tree_dot_output(workspace):
     result = run_sact("tree", "m1.json", "--format", "dot", cwd=workspace)
     assert result.returncode == 0

@@ -15,6 +15,7 @@ from sact import (
     UnknownEvidenceError,
     UtilityTable,
     Violation,
+    WeightPair,
     build_tree,
     compile_table,
     exact_ev_subset,
@@ -26,12 +27,13 @@ from sact import (
     optimal_action,
     posterior_odds,
     threshold,
+    tree_ev,
     validate_model,
     weight_pair,
     write_table,
 )
 
-from helpers import ZERO_COSTS, m1, make_model, random_model
+from helpers import ZERO_COSTS, identity_models, m1, make_model, random_model
 
 
 class TestWeightPair:
@@ -81,7 +83,26 @@ class TestWeightPair:
 class TestItemWeights:
     def test_equal_weight_pair(self):
         for item in random_model(random.Random(3), 30).evidence:
-            assert item.weights == weight_pair(item.alpha, item.beta)
+            (_, _, w_pos), (_, _, w_neg) = item.record.branches
+            assert WeightPair(w_pos, w_neg) == weight_pair(item.alpha, item.beta)
+
+    def test_record_equals_a_fresh_computation(self):
+        rng = random.Random(29)
+        # identity_models ends with the tie_models.
+        models = identity_models(211) + [random_model(rng, 12) for _ in range(30)]
+        for model in models:
+            for item in model.evidence:
+                a, b = item.alpha, item.beta
+                w_pos, w_neg = math.log(a / b), math.log((1.0 - a) / (1.0 - b))
+                spread = math.log(a * (1.0 - b) / (b * (1.0 - a)))
+                fresh = (
+                    (a, b, w_pos, 1.0 - a, 1.0 - b, w_neg),
+                    (a * w_pos + (1.0 - a) * w_neg, a * (1.0 - a) * spread * spread,
+                     b * w_pos + (1.0 - b) * w_neg, b * (1.0 - b) * spread * spread),
+                )
+                branches, moments = item.record
+                assert [x.hex() for x in sum(branches, ())] == [x.hex() for x in fresh[0]]
+                assert [x.hex() for x in moments] == [x.hex() for x in fresh[1]]
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (0.5, 0.0), (0.3, 1.5)])
     def test_a_bad_item_parses_and_raises_where_its_weights_are_read(self, alpha, beta):
@@ -90,11 +111,15 @@ class TestItemWeights:
         with pytest.raises(DomainError) as expected:
             weight_pair(alpha, beta)
         for use in (
-            lambda: model.evidence[1].weights,
+            lambda: model.evidence[1].record,
             lambda: exact_ev_subset(model, ["e1", "e2"]),
             lambda: exact_ev_subset(model, ["e2", "e1"]),
             lambda: gaussian_ev_subset(model, ["e2"]),
+            lambda: gaussian_ev_subset(model, ["e1", "e2"]),
             lambda: build_tree(model),
+            lambda: tree_ev(model, build_tree(m1())[0]),
+            lambda: posterior_odds(model, {"e1": True, "e2": True}),
+            lambda: posterior_odds(model, {"e2": False}),
         ):
             with pytest.raises(DomainError) as excinfo:
                 use()

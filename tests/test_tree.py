@@ -246,6 +246,12 @@ class TestExport:
         assert dot.count("->") == 6
         assert '"¬D"' in dot
 
+    def test_dot_escapes_quotes_and_backslashes_in_labels(self):
+        model = make_model([(0.8, 0.2)], ids=['a"b\\'])
+        tree, _ = build_tree(model)
+        dot = export_tree(tree, format="dot")
+        assert '  n0 [label="a\\"b\\\\" shape=ellipse];\n' in dot
+
     def test_json_round_trip_is_byte_identical(self):
         rng = random.Random(167)
         for _ in range(10):
