@@ -16,12 +16,6 @@ from .errors import (
     SactError,
     UnknownEvidenceError,
 )
-from .gaussian import (
-    MomentSummary,
-    evidence_moments,
-    gaussian_tail,
-    sum_moments,
-)
 from .model import (
     Action,
     CostModel,
@@ -31,7 +25,6 @@ from .model import (
     Threshold,
     UtilityTable,
     Violation,
-    WeightPair,
     model_digest,
     model_from_dict,
     model_from_json,
@@ -41,7 +34,6 @@ from .model import (
     posterior_odds,
     threshold,
     validate_model,
-    weight_pair,
 )
 from .niv import (
     ComputePolicy,

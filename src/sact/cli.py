@@ -263,14 +263,10 @@ def _parse_utilities(text: str) -> UtilityTable:
 
 
 def cmd_proto(args: argparse.Namespace) -> int:
-    profiles = []
-    if args.profile:
-        for name in args.profile:
-            profiles.append(PRESETS[name])
-    if args.profile_file:
-        for path in args.profile_file:
-            data = parse_json(_read_text(path), f"profile file {path}")
-            profiles.append(profile_from_dict(data))
+    profiles = [PRESETS[name] for name in args.profile or ()]
+    for path in args.profile_file or ():
+        data = parse_json(_read_text(path), f"profile file {path}")
+        profiles.append(profile_from_dict(data))
     if not profiles:
         profiles = [PRESETS["high"], PRESETS["moderate"], PRESETS["low"]]
     utilities = _parse_utilities(args.utilities)
@@ -296,13 +292,25 @@ def _add_model_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("model", help="path to the model JSON file")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, method_default: str = "exact") -> None:
-    parser.add_argument("--method", choices=["exact", "gaussian"], default=method_default)
+def cap(text: str) -> int:
+    """The type of every ``--cap-*`` flag: an integer, 0 or more.
+
+    argparse exits 2 on a negative cap, and names this function in its
+    message for a value that is not an integer ("invalid cap value").
+    """
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be 0 or more, got {value}")
+    return value
+
+
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--method", choices=["exact", "gaussian"], default="exact")
     parser.add_argument("--lookahead", type=int, default=0,
                         help="tolerated run of non-improving hill-climb steps")
-    parser.add_argument("--cap-enum", type=int, default=DEFAULT_ENUMERATION_CAP,
+    parser.add_argument("--cap-enum", type=cap, default=DEFAULT_ENUMERATION_CAP,
                         help="largest subset the exact oracle will enumerate")
-    parser.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP,
+    parser.add_argument("--cap-table", type=cap, default=DEFAULT_TABLE_CAP,
                         help="largest subset a table may be compiled over")
 
 
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="compare computing against the best found compilation")
     _add_model_argument(p)
     _add_common_flags(p)
-    p.add_argument("--cap-tree", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--cap-tree", type=cap, default=DEFAULT_TREE_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
@@ -330,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
     p.add_argument("--exhaustive", action="store_true",
                    help="search all subsets instead of hill-climbing")
-    p.add_argument("--cap-exhaustive", type=int, default=DEFAULT_SEARCH_CAP)
+    p.add_argument("--cap-exhaustive", type=cap, default=DEFAULT_SEARCH_CAP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_select)
 
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="build a situation-action tree and export it")
     _add_model_argument(p)
     p.add_argument("--lookahead", type=int, default=0)
-    p.add_argument("--cap-tree", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--cap-tree", type=cap, default=DEFAULT_TREE_CAP)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_tree)
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalization",
                    choices=["relative-to-compute", "range-normalized"],
                    default="relative-to-compute")
-    p.add_argument("--cap-enum", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap-enum", type=cap, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--out")
     p.add_argument("--moments-out")
     p.set_defaults(func=cmd_proto)

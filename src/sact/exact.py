@@ -9,8 +9,9 @@ value of ``subset[i]``.
 
 A prefix's arrays live in buffers reserved once, by :func:`empty_prefix`,
 for the largest prefix its caller can reach: each caller knows before the
-first extension how many bytes the prefix will need.  :func:`extend`
-appends one item in place, allocating nothing, and
+first extension how many bytes the prefix will need, and a reservation
+above :data:`MEMORY_BUDGET` is refused before anything is reserved.
+:func:`extend` appends one item in place, allocating nothing, and
 :func:`act_probabilities` values the prefix plus one more item without
 building that item's arrays.  Both read the item's two branches, (P(E | H),
 P(E | not-H), weight) for E true and for E false, from its record, computed
@@ -38,6 +39,11 @@ from .errors import CapExceededError, UnknownEvidenceError
 from .model import DiagnosisModel, EvidenceVariable
 
 DEFAULT_ENUMERATION_CAP = 25
+
+# The most bytes one prefix may reserve.  The largest reservation under the
+# default caps is 384 MiB: three buffers of 2^24 float64 entries, for greedy
+# selection or a 25-item valuation.
+MEMORY_BUDGET = 1 << 30
 
 
 def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[EvidenceVariable]:
@@ -75,6 +81,12 @@ class Prefix:
     __slots__ = ("buffers", "arrays")
 
     def __init__(self, size: int, firsts: Sequence[float]) -> None:
+        reserved = len(firsts) * 8 << size
+        if reserved > MEMORY_BUDGET:
+            raise CapExceededError(
+                f"a prefix of {size} items would reserve {reserved} bytes, above the "
+                f"memory budget of {MEMORY_BUDGET} bytes"
+            )
         # np.empty, not zeros: a page the prefix never reaches is never touched.
         self.buffers = [np.empty(1 << size) for _ in firsts]
         for buffer, first in zip(self.buffers, firsts):
@@ -139,7 +151,8 @@ def act_probabilities(
 def weight_sums(model: DiagnosisModel, subset: Sequence[str]) -> np.ndarray:
     """Summed evidence weight of every assignment of a subset, in index order.
 
-    Callers bound the subset's size: the buffer holds 2^n entries.
+    The buffer holds 2^n entries, so a subset over the memory budget is
+    refused.
     """
     items = resolve_subset(model, subset)
     prefix = Prefix(len(items), (0.0,))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Literal, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, FormatError, UnknownEvidenceError
 
@@ -33,9 +33,6 @@ class Action(Enum):
     def __str__(self) -> str:
         return self.value
 
-
-# Which hypothesis a conditional quantity is taken under.
-Side = Literal["H", "notH"]
 
 # An observation assigns a truth value to each evidence id it covers.
 Observation = Mapping[str, bool]
@@ -156,18 +153,6 @@ class DiagnosisModel:
 
 
 @dataclass(frozen=True)
-class WeightPair:
-    """Log-likelihood weights of one evidence variable.
-
-    ``w_pos = ln(alpha/beta)`` applies when the evidence is observed true,
-    ``w_neg = ln((1-alpha)/(1-beta))`` when observed false.
-    """
-
-    w_pos: float
-    w_neg: float
-
-
-@dataclass(frozen=True)
 class Threshold:
     """The act/don't-act boundary.
 
@@ -268,15 +253,6 @@ def validate_model(model: DiagnosisModel) -> list[Violation]:
             Violation("nonpositive_rate", "costs.r", f"costs.r = {c.r!r} must be > 0")
         )
     return out
-
-
-def weight_pair(alpha: float, beta: float) -> WeightPair:
-    """Log-likelihood weights for one evidence variable.
-
-    w_pos = ln(alpha/beta);  w_neg = ln((1-alpha)/(1-beta)).
-    """
-    (_, _, w_pos), (_, _, w_neg) = item_record(alpha, beta).branches
-    return WeightPair(w_pos, w_neg)
 
 
 def item_record(alpha: float, beta: float) -> ItemRecord:

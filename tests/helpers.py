@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,17 +19,14 @@ from sact import (
     EvidenceVariable,
     Internal,
     Leaf,
-    MomentSummary,
     SituationActionTree,
     UtilityTable,
-    evidence_moments,
-    gaussian_tail,
     model_digest,
     optimal_action,
     threshold,
-    weight_pair,
 )
 from sact.exact import compose_ev
+from sact.gaussian import gaussian_tail
 
 ZERO_COSTS = CostModel(k1=0.0, k2=0.0, k3=0.0, k4=0.0, k5=0.0, k6=0.0, r=1.0)
 UNIT_COSTS = CostModel(k1=1.0, k2=1.0, k3=1.0, k4=1.0, k5=1.0, k6=1.0, r=1.0)
@@ -110,6 +109,67 @@ def random_model(rng: random.Random, m: int, *, p_h=None, costs=None) -> Diagnos
     return DiagnosisModel(p_h, evidence, utilities, costs)
 
 
+def design_model(rng: random.Random, m: int, *, alpha, beta, k5: float, k6: float,
+                 k34: float = 1e-5) -> DiagnosisModel:
+    """A benchmark-style model: its threshold p* lies within 0.02 of the
+    prior p(H), so single items move the decision and selection and tree
+    growth go deep.  ``alpha`` and ``beta`` are the (low, high) ranges the
+    likelihoods are drawn from."""
+    p_h = rng.uniform(0.3, 0.7)
+    p_star = p_h + rng.uniform(-0.02, 0.02)
+    scale = rng.uniform(1.0, 10.0)
+    u_h_nd = rng.uniform(-5.0, 5.0)
+    u_nh_d = rng.uniform(-5.0, 5.0)
+    evidence = tuple(
+        EvidenceVariable(f"e{i:03d}", rng.uniform(*alpha), rng.uniform(*beta)) for i in range(m)
+    )
+    utilities = UtilityTable(
+        u_h_nd + scale * (1.0 - p_star), u_h_nd, u_nh_d, u_nh_d + scale * p_star
+    )
+    costs = CostModel(
+        k1=rng.uniform(0.0, 0.01),
+        k2=rng.uniform(0.0, 0.01),
+        k3=rng.uniform(0.0, k34),
+        k4=rng.uniform(0.0, k34),
+        k5=k5,
+        k6=k6,
+        r=rng.uniform(0.5, 2.0),
+    )
+    return DiagnosisModel(p_h, evidence, utilities, costs)
+
+
+class ItemFormulas(NamedTuple):
+    w_pos: float
+    w_neg: float
+    mean_h: float
+    var_h: float
+    mean_nh: float
+    var_nh: float
+
+
+def item_formulas(alpha: float, beta: float) -> ItemFormulas:
+    """One item's weights and weight moments, written out here so that the
+    oracle shares no code with what it checks.
+
+    w_pos = ln(alpha/beta) and w_neg = ln((1-alpha)/(1-beta)).  Given H the
+    weight is w_pos with probability alpha: E[w|H] = alpha*w_pos +
+    (1-alpha)*w_neg and Var[w|H] = alpha*(1-alpha)*(w_pos - w_neg)^2, with
+    w_pos - w_neg taken as the one log ln(alpha*(1-beta) / (beta*(1-alpha)));
+    the same with beta given not-H.  Each is the IEEE expression the package
+    uses, so results compare exactly.
+    """
+    w_pos, w_neg = math.log(alpha / beta), math.log((1.0 - alpha) / (1.0 - beta))
+    spread = math.log(alpha * (1.0 - beta) / (beta * (1.0 - alpha)))
+    return ItemFormulas(
+        w_pos,
+        w_neg,
+        alpha * w_pos + (1.0 - alpha) * w_neg,
+        alpha * (1.0 - alpha) * spread * spread,
+        beta * w_pos + (1.0 - beta) * w_neg,
+        beta * (1.0 - beta) * spread * spread,
+    )
+
+
 def brute_force_evaluation(model: DiagnosisModel, subset):
     """Independent oracle: per-assignment Python loops, no shared kernel.
 
@@ -126,7 +186,7 @@ def brute_force_evaluation(model: DiagnosisModel, subset):
         p_h = 1.0
         p_nh = 1.0
         for i, item in enumerate(items):
-            pair = weight_pair(item.alpha, item.beta)
+            pair = item_formulas(item.alpha, item.beta)
             if (index >> i) & 1:
                 weight += pair.w_pos
                 p_h *= item.alpha
@@ -155,7 +215,7 @@ def concatenated_arrays(model: DiagnosisModel, subset):
     weights, p_given_h, p_given_nh = np.zeros(1), np.ones(1), np.ones(1)
     for evidence_id in subset:
         item = lookup[evidence_id]
-        pair = weight_pair(item.alpha, item.beta)
+        pair = item_formulas(item.alpha, item.beta)
         weights = np.concatenate([weights + pair.w_neg, weights + pair.w_pos])
         p_given_h = np.concatenate([p_given_h * (1.0 - item.alpha), p_given_h * item.alpha])
         p_given_nh = np.concatenate([p_given_nh * (1.0 - item.beta), p_given_nh * item.beta])
@@ -176,15 +236,15 @@ def from_scratch_gaussian(model: DiagnosisModel, subset):
     each item's moments summed left to right over the subset, then the two
     tails."""
     lookup = model.evidence_map()
-    sums = [0.0, 0.0, 0.0, 0.0]
+    mean_h = var_h = mean_nh = var_nh = 0.0
     for evidence_id in subset:
         item = lookup[evidence_id]
-        m = evidence_moments(item.alpha, item.beta)
-        sums = [s + x for s, x in zip(sums, (m.mean_h, m.var_h, m.mean_nh, m.var_nh))]
-    moments = MomentSummary(*sums, n=len(subset))
+        f = item_formulas(item.alpha, item.beta)
+        mean_h, var_h = mean_h + f.mean_h, var_h + f.var_h
+        mean_nh, var_nh = mean_nh + f.mean_nh, var_nh + f.var_nh
     w_star = threshold(model.utilities, model.p_h).w_star
-    p_act_h = gaussian_tail(moments, w_star, "H")
-    p_act_nh = gaussian_tail(moments, w_star, "notH")
+    p_act_h = gaussian_tail(mean_h, var_h, w_star)
+    p_act_nh = gaussian_tail(mean_nh, var_nh, w_star)
     return compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh
 
 
@@ -222,7 +282,7 @@ def complete_tree(model: DiagnosisModel, subset) -> SituationActionTree:
         if i == len(subset):
             return Leaf(optimal_action(w_path, thr))
         item = lookup[subset[i]]
-        pair = weight_pair(item.alpha, item.beta)
+        pair = item_formulas(item.alpha, item.beta)
         return Internal(
             subset[i],
             build(i + 1, w_path + pair.w_pos),

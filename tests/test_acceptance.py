@@ -44,7 +44,6 @@ from sact import (
     tree_ev,
     tree_from_json,
     tree_lookup,
-    weight_pair,
     write_table,
     PRESETS,
 )
@@ -53,6 +52,7 @@ from helpers import (
     SYMMETRIC_UTILITIES,
     complete_tree,
     example_action_tree,
+    item_formulas,
     make_model,
     random_model,
     run_sact,
@@ -250,7 +250,7 @@ def test_criterion_8_artifact_round_trips():
             for i, evidence_id in enumerate(subset):
                 truth = bool((index >> i) & 1)
                 observation[evidence_id] = truth
-                pair = weight_pair(lookup[evidence_id].alpha, lookup[evidence_id].beta)
+                pair = item_formulas(lookup[evidence_id].alpha, lookup[evidence_id].beta)
                 w += pair.w_pos if truth else pair.w_neg
             lookups_ok &= table_lookup(table, observation) is optimal_action(w, thr)
     for m in (0, 2, 5):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from sact import CompiledTable, model_digest, model_from_json, threshold, write_table
+from sact.cli import build_parser, main
 
 from helpers import run_sact
 
@@ -309,6 +310,50 @@ def test_proto_refuses_a_profile_over_the_cap(workspace):
     assert result.stderr == (
         b"refused: profile 'wide' has 1000000000 items, above the profile cap of 65536\n"
     )
+
+
+def test_proto_exact_over_the_memory_budget_exits_three(workspace):
+    # The 60-item preset's prefix would reserve 3 * 8 * 2^59 bytes.
+    result = run_sact("proto", "--method", "exact", "--profile", "high", "--cap-enum", "60",
+                      cwd=workspace)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"refused: a prefix of 59 items would reserve 13835058055282163712 bytes, "
+        b"above the memory budget of 1073741824 bytes\n"
+    )
+
+
+CAP_FLAGS = [
+    (["analyze", "m1.json"], "--cap-enum"),
+    (["analyze", "m1.json"], "--cap-table"),
+    (["analyze", "m1.json"], "--cap-tree"),
+    (["select", "m1.json"], "--cap-enum"),
+    (["select", "m1.json"], "--cap-table"),
+    (["select", "m1.json", "--exhaustive"], "--cap-exhaustive"),
+    (["compile", "m1.json", "--out", "m1.sact"], "--cap-enum"),
+    (["compile", "m1.json", "--out", "m1.sact"], "--cap-table"),
+    (["tree", "m1.json"], "--cap-tree"),
+    (["proto"], "--cap-enum"),
+]
+
+
+@pytest.mark.parametrize("command,flag", CAP_FLAGS, ids=[f"{c[0]}{f}" for c, f in CAP_FLAGS])
+def test_every_cap_flag_refuses_a_negative_value(command, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, flag, "-1"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: a cap must be 0 or more, got -1\n"
+    )
+    args = build_parser().parse_args([*command, flag, "0"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 0
+
+
+def test_analyze_with_a_negative_table_cap_exits_two(workspace):
+    result = run_sact("analyze", "m1.json", "--cap-table", "-1", cwd=workspace)
+    assert result.returncode == 2
+    assert result.stdout == b""
 
 
 def test_proto_profile_integer_too_large_for_a_float_exits_two(workspace):

@@ -12,12 +12,15 @@ from sact import (
     exact_ev_compute,
     exact_ev_subset,
     exhaustive_subset_search,
+    greedy_select,
     niv,
     TablePolicy,
     threshold,
 )
 
+import sact.exact
 from sact.exact import act_probabilities, empty_prefix, extend, weight_sums
+from sact.table import DEFAULT_TABLE_CAP
 
 from helpers import (
     brute_force_evaluation,
@@ -301,3 +304,50 @@ class TestMemory:
         # A prefix of all 15 items would add 0.75 MiB that no subset uses.
         model = make_model([(0.7, 0.3)] * 14 + [(0.6, 0.45)])
         assert traced_peak(lambda: exhaustive_subset_search(model)) <= 1 << 20
+
+
+class TestMemoryBudget:
+    # Three float64 buffers of 2^4 entries: the exact prefix of a 5-item
+    # subset fits, that of a 6-item subset (768 bytes) does not.
+    BUDGET = 3 * 8 << 4
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(sact.exact, "MEMORY_BUDGET", self.BUDGET)
+
+    def test_a_prefix_at_the_budget_is_reserved(self, small_budget):
+        assert len(empty_prefix(4).buffers[0]) == 16
+        model = make_model([(0.7, 0.3)] * 5)
+        ids = [item.id for item in model.evidence]
+        result = exact_ev_subset(model, ids)
+        assert (result.ev, result.p_act_given_h, result.p_act_given_nh) == (
+            from_scratch_evaluation(model, ids)
+        )
+
+    def test_a_prefix_over_the_budget_is_refused_before_it_is_reserved(self, small_budget):
+        with pytest.raises(CapExceededError) as excinfo:
+            empty_prefix(5)
+        assert str(excinfo.value) == (
+            "a prefix of 5 items would reserve 768 bytes, above the memory budget of 384 bytes"
+        )
+
+    def test_every_reservation_honours_the_budget(self, small_budget):
+        model = make_model([(0.7, 0.3)] * 6)
+        ids = [item.id for item in model.evidence]
+        for call in (
+            lambda: exact_ev_subset(model, ids),
+            lambda: exact_ev_compute(model),
+            lambda: exhaustive_subset_search(model),
+            lambda: greedy_select(model),
+            # The weight sums alone: one buffer of 2^6 entries, 512 bytes.
+            lambda: compile_table(model, ids),
+        ):
+            with pytest.raises(CapExceededError, match="memory budget"):
+                call()
+
+    def test_the_default_caps_fit_the_budget(self):
+        # Valuing a subset at the enumeration cap reserves the three arrays
+        # of its first cap - 1 items; compiling at the table cap reserves
+        # the weight sums of all its items.
+        assert 3 * 8 << (sact.exact.DEFAULT_ENUMERATION_CAP - 1) <= sact.exact.MEMORY_BUDGET
+        assert 8 << DEFAULT_TABLE_CAP <= sact.exact.MEMORY_BUDGET

@@ -3,17 +3,10 @@ import random
 
 import pytest
 
-from sact import (
-    DomainError,
-    MomentSummary,
-    evidence_moments,
-    exact_ev_subset,
-    gaussian_ev_subset,
-    gaussian_tail,
-    sum_moments,
-    weight_pair,
-)
-from sact.gaussian import normal_cdf
+from sact import DomainError, exact_ev_subset, gaussian, gaussian_ev_subset
+from sact.exact import resolve_subset
+from sact.gaussian import gaussian_tail, normal_cdf
+from sact.model import item_record
 
 from helpers import (
     concatenated_arrays,
@@ -44,28 +37,37 @@ def _density(t: float) -> float:
     return math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
 
 
+def moment_sums(model, subset):
+    """The Gaussian kernel's prefix of a subset: its four moment sums
+    (mean and variance under H, then under not-H)."""
+    prefix = gaussian.empty_prefix()
+    for item in resolve_subset(model, subset):
+        gaussian.extend(prefix, item)
+    return prefix
+
+
 class TestEvidenceMoments:
     def test_uninformative_item_has_zero_moments(self):
-        moments = evidence_moments(0.5, 0.5)
-        assert moments == MomentSummary(0.0, 0.0, 0.0, 0.0, 1)
+        moments = item_record(0.5, 0.5).moments
+        assert moments == (0.0, 0.0, 0.0, 0.0)
 
     def test_strong_symmetric_item_given_h(self):
         # By hand: mean = 0.8*ln4 + 0.2*(-ln4) = 0.6*ln4,
         # var = 0.8*0.2*ln(16)^2 = 0.16*ln(16)^2.
-        moments = evidence_moments(0.8, 0.2)
-        assert moments.mean_h == pytest.approx(0.6 * math.log(4.0), abs=1e-12)
-        assert moments.var_h == pytest.approx(0.16 * math.log(16.0) ** 2, abs=1e-12)
+        mean_h, var_h, _, _ = item_record(0.8, 0.2).moments
+        assert mean_h == pytest.approx(0.6 * math.log(4.0), abs=1e-12)
+        assert var_h == pytest.approx(0.16 * math.log(16.0) ** 2, abs=1e-12)
 
     def test_strong_symmetric_item_given_not_h(self):
-        moments = evidence_moments(0.8, 0.2)
-        assert moments.mean_nh == pytest.approx(-0.6 * math.log(4.0), abs=1e-12)
-        assert moments.var_nh == pytest.approx(0.16 * math.log(16.0) ** 2, abs=1e-12)
+        _, _, mean_nh, var_nh = item_record(0.8, 0.2).moments
+        assert mean_nh == pytest.approx(-0.6 * math.log(4.0), abs=1e-12)
+        assert var_nh == pytest.approx(0.16 * math.log(16.0) ** 2, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            evidence_moments(0.0, 0.5)
+            item_record(0.0, 0.5)
         with pytest.raises(DomainError):
-            evidence_moments(0.5, 1.0)
+            item_record(0.5, 1.0)
 
     def test_matches_two_point_distribution(self):
         # Independent route: mean and variance of the weight as a plain
@@ -73,29 +75,25 @@ class TestEvidenceMoments:
         grid = [0.05 + 0.1 * i for i in range(10)]
         for alpha in grid:
             for beta in grid:
-                pair = weight_pair(alpha, beta)
-                moments = evidence_moments(alpha, beta)
-                mean_h = alpha * pair.w_pos + (1 - alpha) * pair.w_neg
-                var_h = alpha * pair.w_pos**2 + (1 - alpha) * pair.w_neg**2 - mean_h**2
-                mean_nh = beta * pair.w_pos + (1 - beta) * pair.w_neg
-                var_nh = beta * pair.w_pos**2 + (1 - beta) * pair.w_neg**2 - mean_nh**2
-                assert moments.mean_h == pytest.approx(mean_h, abs=1e-12)
-                assert moments.var_h == pytest.approx(var_h, abs=1e-12)
-                assert moments.mean_nh == pytest.approx(mean_nh, abs=1e-12)
-                assert moments.var_nh == pytest.approx(var_nh, abs=1e-12)
+                record = item_record(alpha, beta)
+                (_, _, w_pos), (_, _, w_neg) = record.branches
+                mean_h = alpha * w_pos + (1 - alpha) * w_neg
+                var_h = alpha * w_pos**2 + (1 - alpha) * w_neg**2 - mean_h**2
+                mean_nh = beta * w_pos + (1 - beta) * w_neg
+                var_nh = beta * w_pos**2 + (1 - beta) * w_neg**2 - mean_nh**2
+                assert record.moments == pytest.approx((mean_h, var_h, mean_nh, var_nh), abs=1e-12)
 
 
 class TestSumMoments:
     def test_empty_sum(self):
-        assert sum_moments(m1(), []) == MomentSummary(0.0, 0.0, 0.0, 0.0, 0)
+        assert moment_sums(m1(), []) == [0.0, 0.0, 0.0, 0.0]
 
     def test_two_identical_items_double(self):
         model = make_model([(0.8, 0.2), (0.8, 0.2)])
-        single = evidence_moments(0.8, 0.2)
-        total = sum_moments(model, ["e1", "e2"])
-        assert total.mean_h == pytest.approx(2 * single.mean_h, abs=1e-12)
-        assert total.var_h == pytest.approx(2 * single.var_h, abs=1e-12)
-        assert total.n == 2
+        single = item_record(0.8, 0.2).moments
+        total = moment_sums(model, ["e1", "e2"])
+        assert total[0] == pytest.approx(2 * single[0], abs=1e-12)
+        assert total[1] == pytest.approx(2 * single[1], abs=1e-12)
 
     def test_equals_a_left_to_right_sum_of_item_moments(self):
         rng = random.Random(233)
@@ -106,21 +104,19 @@ class TestSumMoments:
             lookup = model.evidence_map()
             mean_h = var_h = mean_nh = var_nh = 0.0
             for evidence_id in ids:
-                item = evidence_moments(lookup[evidence_id].alpha, lookup[evidence_id].beta)
-                mean_h += item.mean_h
-                var_h += item.var_h
-                mean_nh += item.mean_nh
-                var_nh += item.var_nh
-            expected = MomentSummary(mean_h, var_h, mean_nh, var_nh, m)
-            assert sum_moments(model, ids) == expected
+                item = lookup[evidence_id].record.moments
+                mean_h += item[0]
+                var_h += item[1]
+                mean_nh += item[2]
+                var_nh += item[3]
+            assert moment_sums(model, ids) == [mean_h, var_h, mean_nh, var_nh]
 
     def test_zero_moment_item_adds_nothing(self):
         model = make_model([(0.8, 0.2), (0.5, 0.5)])
-        total = sum_moments(model, ["e1", "e2"])
-        single = evidence_moments(0.8, 0.2)
-        assert total.mean_h == single.mean_h
-        assert total.var_h == single.var_h
-        assert total.n == 2
+        total = moment_sums(model, ["e1", "e2"])
+        single = item_record(0.8, 0.2).moments
+        assert total[0] == single[0]
+        assert total[1] == single[1]
 
 
 class TestNormalCdf:
@@ -150,29 +146,23 @@ class TestNormalCdf:
 
 class TestGaussianTail:
     def test_median(self):
-        moments = MomentSummary(1.0, 2.0, -1.0, 2.0, 5)
-        assert gaussian_tail(moments, 1.0, "H") == 0.5
+        assert gaussian_tail(1.0, 2.0, 1.0) == 0.5
 
     def test_single_strong_item(self):
         # z = (0 - 0.6*ln4) / (0.4*ln16) = -0.75 exactly, so the tail is
         # Phi(0.75) ~= 0.7734.
-        moments = evidence_moments(0.8, 0.2)
-        tail = gaussian_tail(moments, 0.0, "H")
+        mean_h, var_h, _, _ = item_record(0.8, 0.2).moments
+        tail = gaussian_tail(mean_h, var_h, 0.0)
         assert tail == pytest.approx(0.773, abs=1e-3)
         assert tail == pytest.approx(quadrature_cdf(0.75), abs=1e-9)
 
     def test_degenerate_step_honours_boundary(self):
-        moments = MomentSummary(0.0, 0.0, 0.0, 0.0, 0)
-        assert gaussian_tail(moments, 0.0, "H") == 1.0
-        assert gaussian_tail(moments, 1e-12, "H") == 0.0
+        assert gaussian_tail(0.0, 0.0, 0.0) == 1.0
+        assert gaussian_tail(0.0, 0.0, 1e-12) == 0.0
 
     def test_negative_variance_rejected(self):
         with pytest.raises(DomainError):
-            gaussian_tail(MomentSummary(0.0, -1.0, 0.0, 1.0, 1), 0.0, "H")
-
-    def test_invalid_side_rejected(self):
-        with pytest.raises(DomainError):
-            gaussian_tail(MomentSummary(0.0, 1.0, 0.0, 1.0, 1), 0.0, "both")
+            gaussian_tail(0.0, -1.0, 0.0)
 
 
 class TestGaussianEvSubset:
@@ -213,7 +203,8 @@ class TestGaussianEvSubset:
         ids = [item.id for item in model.evidence]
 
         def gap(n):
-            approximate = gaussian_tail(sum_moments(model, ids[:n]), 0.0, "H")
+            mean_h, var_h, _, _ = moment_sums(model, ids[:n])
+            approximate = gaussian_tail(mean_h, var_h, 0.0)
             weights, p_given_h, _ = concatenated_arrays(model, ids[:n])
             return abs(approximate - float(p_given_h[weights >= 0.0].sum()))
 

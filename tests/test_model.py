@@ -15,7 +15,6 @@ from sact import (
     UnknownEvidenceError,
     UtilityTable,
     Violation,
-    WeightPair,
     build_tree,
     compile_table,
     exact_ev_subset,
@@ -29,42 +28,48 @@ from sact import (
     threshold,
     tree_ev,
     validate_model,
-    weight_pair,
     write_table,
 )
+from sact.model import item_record
 
-from helpers import ZERO_COSTS, identity_models, m1, make_model, random_model
+from helpers import ZERO_COSTS, identity_models, item_formulas, m1, make_model, random_model
+
+
+def weights(alpha, beta):
+    """(w_pos, w_neg) of an item, from its record."""
+    (_, _, w_pos), (_, _, w_neg) = item_record(alpha, beta).branches
+    return w_pos, w_neg
 
 
 class TestWeightPair:
     def test_uninformative_evidence_has_zero_weights(self):
-        pair = weight_pair(0.5, 0.5)
-        assert pair.w_pos == 0.0
-        assert pair.w_neg == 0.0
+        w_pos, w_neg = weights(0.5, 0.5)
+        assert w_pos == 0.0
+        assert w_neg == 0.0
 
     def test_strong_symmetric_evidence(self):
-        pair = weight_pair(0.8, 0.2)
-        assert pair.w_pos == pytest.approx(math.log(4.0), abs=1e-12)
-        assert pair.w_neg == pytest.approx(-math.log(4.0), abs=1e-12)
+        w_pos, w_neg = weights(0.8, 0.2)
+        assert w_pos == pytest.approx(math.log(4.0), abs=1e-12)
+        assert w_neg == pytest.approx(-math.log(4.0), abs=1e-12)
 
     def test_asymmetric_evidence(self):
-        pair = weight_pair(0.9, 0.3)
-        assert pair.w_pos == pytest.approx(math.log(3.0), abs=1e-12)
-        assert pair.w_neg == pytest.approx(math.log(1.0 / 7.0), abs=1e-12)
+        w_pos, w_neg = weights(0.9, 0.3)
+        assert w_pos == pytest.approx(math.log(3.0), abs=1e-12)
+        assert w_neg == pytest.approx(math.log(1.0 / 7.0), abs=1e-12)
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0),
                                             (-0.1, 0.5), (0.5, 1.1)])
     def test_rejects_probabilities_outside_open_interval(self, alpha, beta):
         with pytest.raises(DomainError):
-            weight_pair(alpha, beta)
+            item_record(alpha, beta)
 
     def test_exp_recovers_likelihood_ratios(self):
         grid = [i / 20 for i in range(1, 20)]
         for alpha in grid:
             for beta in grid:
-                pair = weight_pair(alpha, beta)
-                assert math.exp(pair.w_pos) == pytest.approx(alpha / beta, rel=1e-12)
-                assert math.exp(pair.w_neg) == pytest.approx(
+                w_pos, w_neg = weights(alpha, beta)
+                assert math.exp(w_pos) == pytest.approx(alpha / beta, rel=1e-12)
+                assert math.exp(w_neg) == pytest.approx(
                     (1 - alpha) / (1 - beta), rel=1e-12
                 )
 
@@ -73,18 +78,17 @@ class TestWeightPair:
         for _ in range(200):
             alpha = rng.uniform(0.05, 0.95)
             beta = rng.uniform(0.05, 0.95)
-            pair = weight_pair(alpha, beta)
+            w_pos, w_neg = weights(alpha, beta)
             if alpha == beta:
-                assert pair.w_pos == pair.w_neg == 0.0
+                assert w_pos == w_neg == 0.0
             else:
-                assert (pair.w_pos > 0) == (pair.w_neg < 0)
+                assert (w_pos > 0) == (w_neg < 0)
 
 
 class TestItemWeights:
     def test_equal_weight_pair(self):
         for item in random_model(random.Random(3), 30).evidence:
-            (_, _, w_pos), (_, _, w_neg) = item.record.branches
-            assert WeightPair(w_pos, w_neg) == weight_pair(item.alpha, item.beta)
+            assert item.record == item_record(item.alpha, item.beta)
 
     def test_record_equals_a_fresh_computation(self):
         rng = random.Random(29)
@@ -93,12 +97,10 @@ class TestItemWeights:
         for model in models:
             for item in model.evidence:
                 a, b = item.alpha, item.beta
-                w_pos, w_neg = math.log(a / b), math.log((1.0 - a) / (1.0 - b))
-                spread = math.log(a * (1.0 - b) / (b * (1.0 - a)))
+                f = item_formulas(a, b)
                 fresh = (
-                    (a, b, w_pos, 1.0 - a, 1.0 - b, w_neg),
-                    (a * w_pos + (1.0 - a) * w_neg, a * (1.0 - a) * spread * spread,
-                     b * w_pos + (1.0 - b) * w_neg, b * (1.0 - b) * spread * spread),
+                    (a, b, f.w_pos, 1.0 - a, 1.0 - b, f.w_neg),
+                    (f.mean_h, f.var_h, f.mean_nh, f.var_nh),
                 )
                 branches, moments = item.record
                 assert [x.hex() for x in sum(branches, ())] == [x.hex() for x in fresh[0]]
@@ -109,7 +111,7 @@ class TestItemWeights:
         model = model_from_dict(model_to_dict(make_model([(0.8, 0.2), (alpha, beta)])))
         assert validate_model(model)
         with pytest.raises(DomainError) as expected:
-            weight_pair(alpha, beta)
+            item_record(alpha, beta)
         for use in (
             lambda: model.evidence[1].record,
             lambda: exact_ev_subset(model, ["e1", "e2"]),
@@ -195,8 +197,8 @@ class TestPosteriorOdds:
             direct = posterior_odds(model, observation)
             total = 0.0
             for item in model.evidence:
-                pair = weight_pair(item.alpha, item.beta)
-                total += pair.w_pos if observation[item.id] else pair.w_neg
+                (_, _, w_pos), (_, _, w_neg) = item.record.branches
+                total += w_pos if observation[item.id] else w_neg
             via_logs = math.exp(total) * model.p_h / (1 - model.p_h)
             assert direct == pytest.approx(via_logs, rel=1e-10)
 

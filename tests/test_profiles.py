@@ -14,12 +14,10 @@ from sact import (
     PRESETS,
     UtilityTable,
     WeightProfile,
-    evidence_moments,
     export_analysis,
     export_moments,
     loss_curve,
     realize_profile,
-    weight_pair,
 )
 from sact.profiles import LossRow, profile_from_dict, topn_subset
 
@@ -28,6 +26,7 @@ from helpers import (
     ZERO_COSTS,
     from_scratch_evaluation,
     from_scratch_gaussian,
+    item_formulas,
 )
 
 
@@ -61,7 +60,7 @@ class TestRealizeProfile:
         profile = WeightProfile.explicit("mix", [0.1, 0.5, 1.0, 2.5, 3.5])
         for item, w in zip(realize_profile(profile), profile.weights):
             assert item.alpha + item.beta == pytest.approx(1.0, abs=1e-12)
-            pair = weight_pair(item.alpha, item.beta)
+            pair = item_formulas(item.alpha, item.beta)
             assert pair.w_pos == pytest.approx(w, abs=1e-12)
             assert pair.w_neg == pytest.approx(-w, abs=1e-12)
 
@@ -74,11 +73,11 @@ class TestRealizeProfile:
         for i, item in enumerate(items, start=1):
             q = (i - 0.5) / m
             expected = c * (1.0 - math.sqrt(1.0 - q))
-            assert weight_pair(item.alpha, item.beta).w_pos == pytest.approx(expected, abs=1e-9)
+            assert item_formulas(item.alpha, item.beta).w_pos == pytest.approx(expected, abs=1e-9)
 
     def test_zero_slope_is_uniform_sampling(self):
         profile = WeightProfile.linear_decay("flat", intercept=2.0, slope=0.0, w_max=1.0, count=4)
-        weights = [weight_pair(i.alpha, i.beta).w_pos for i in realize_profile(profile)]
+        weights = [item_formulas(i.alpha, i.beta).w_pos for i in realize_profile(profile)]
         assert weights == pytest.approx([0.125, 0.375, 0.625, 0.875], abs=1e-9)
 
     def test_empty_density_rejected(self):
@@ -231,7 +230,7 @@ class TestLossCurve:
         mean_h = var_h = 0.0
         for evidence_id in ranking:
             item = lookup[evidence_id]
-            moments = evidence_moments(item.alpha, item.beta)
+            moments = item_formulas(item.alpha, item.beta)
             assert moments.mean_h > 0.0
             assert moments.var_h > 0.0
             mean_h += moments.mean_h
@@ -324,6 +323,6 @@ class TestPresets:
     def test_uncertainty_orders_the_weight_scales(self):
         def top_weight(name):
             items = realize_profile(PRESETS[name])
-            return max(weight_pair(i.alpha, i.beta).w_pos for i in items)
+            return max(item_formulas(i.alpha, i.beta).w_pos for i in items)
 
         assert top_weight("high") < top_weight("moderate") < top_weight("low")

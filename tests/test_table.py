@@ -26,7 +26,6 @@ from sact import (
     table_lookup,
     TablePolicy,
     threshold,
-    weight_pair,
     write_table,
 )
 
@@ -35,6 +34,7 @@ from helpers import (
     from_scratch_evaluation,
     from_scratch_gaussian,
     identity_models,
+    item_formulas,
     m1,
     make_model,
     random_model,
@@ -172,7 +172,7 @@ class TestCompileTable:
                 w = 0.0
                 for i, evidence_id in enumerate(subset):
                     item = lookup[evidence_id]
-                    pair = weight_pair(item.alpha, item.beta)
+                    pair = item_formulas(item.alpha, item.beta)
                     w += pair.w_pos if (index >> i) & 1 else pair.w_neg
                 assert table.action_at(index) is optimal_action(w, thr)
 

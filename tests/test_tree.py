@@ -23,7 +23,6 @@ from sact import (
     tree_from_json,
     tree_lookup,
     tree_niv,
-    weight_pair,
 )
 from sact.tree import count_nodes
 
@@ -31,6 +30,7 @@ from helpers import (
     UNIT_COSTS,
     complete_tree,
     example_action_tree,
+    item_formulas,
     m1,
     make_model,
     random_model,
@@ -177,7 +177,7 @@ class TestBuildTree:
                     assert node.action is optimal_action(w_path, thr)
                     return
                 item = lookup[node.evidence_id]
-                pair = weight_pair(item.alpha, item.beta)
+                pair = item_formulas(item.alpha, item.beta)
                 walk(node.if_true, w_path + pair.w_pos)
                 walk(node.if_false, w_path + pair.w_neg)
 
