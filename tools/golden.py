@@ -245,6 +245,13 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
          None),
         ("proto.cap_enum_huge", ["proto", "--method", "exact", "--profile", "high",
                                  "--cap-enum", "60"], None),
+        # The parser itself: every help text, a negative count, an exact-only search.
+        ("help", ["--help"], None),
+        *[(f"{command}.help", [command, "--help"], None) for command in
+          ("validate", "analyze", "select", "compile", "tree", "lookup", "proto")],
+        ("tree.lookahead_negative", ["tree", a, "--lookahead", "-1"], None),
+        ("select.exhaustive_gaussian", ["select", b, "--exhaustive", "--method", "gaussian"],
+         None),
     ]
 
 
