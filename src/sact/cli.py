@@ -85,12 +85,8 @@ def _read_text(path: str) -> str:
         raise FormatError(f"{path} is not valid UTF-8: {exc}") from None
 
 
-def _load_model(path: str) -> DiagnosisModel:
-    return model_from_json(_read_text(path))
-
-
 def _load_valid_model(path: str) -> DiagnosisModel:
-    model = _load_model(path)
+    model = model_from_json(_read_text(path))
     violations = validate_model(model)
     if violations:
         _note(f"model {path} is invalid:")
@@ -115,7 +111,7 @@ def _load_observation(path: str) -> dict[str, bool]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = model_from_json(_read_text(args.model))
     violations = validate_model(model)
     _emit_json([v.to_dict() for v in violations], args.out)
     return EXIT_OK if not violations else EXIT_INVALID
@@ -184,6 +180,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
+    if args.exhaustive and args.method == "gaussian":
+        raise MethodError("exhaustive search values subsets exactly; use --method exact")
     model = _load_valid_model(args.model)
     _warn_low_n(model, args.method)
     if args.exhaustive:
@@ -288,30 +286,33 @@ def cmd_proto(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_model_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("model", help="path to the model JSON file")
+def count(text: str) -> int:
+    """The type of every count flag (``--cap-*`` and ``--lookahead``): an integer, 0 or more.
 
-
-def cap(text: str) -> int:
-    """The type of every ``--cap-*`` flag: an integer, 0 or more.
-
-    argparse exits 2 on a negative cap, and names this function in its
-    message for a value that is not an integer ("invalid cap value").
+    argparse exits 2 on a negative count, and names this function in its
+    message for a value that is not an integer ("invalid count value").
     """
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"a cap must be 0 or more, got {value}")
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
     return value
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=["exact", "gaussian"], default="exact")
-    parser.add_argument("--lookahead", type=int, default=0,
-                        help="tolerated run of non-improving hill-climb steps")
-    parser.add_argument("--cap-enum", type=cap, default=DEFAULT_ENUMERATION_CAP,
-                        help="largest subset the exact oracle will enumerate")
-    parser.add_argument("--cap-table", type=cap, default=DEFAULT_TABLE_CAP,
-                        help="largest subset a table may be compiled over")
+# The flags several subcommands share, each declared once.
+SHARED = {
+    "model": {"help": "path to the model JSON file"},
+    "--method": {"choices": ["exact", "gaussian"], "default": "exact"},
+    "--lookahead": {"type": count, "default": 0,
+                    "help": "tolerated run of non-improving hill-climb steps"},
+    "--cap-enum": {"type": count, "default": DEFAULT_ENUMERATION_CAP,
+                   "help": "largest subset the exact oracle will enumerate"},
+    "--cap-table": {"type": count, "default": DEFAULT_TABLE_CAP,
+                    "help": "largest subset a table may be compiled over"},
+    "--cap-tree": {"type": count, "default": DEFAULT_TREE_CAP},
+    "--out": {},
+}
+# The leading flags of the design commands: analyze, select and compile.
+DESIGN = ("model", "--method", "--lookahead", "--cap-enum", "--cap-table")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,68 +322,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check model invariants; print violations as JSON")
-    _add_model_argument(p)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, summary, *flags, **defaults) -> argparse.ArgumentParser:
+        """Subcommand ``name`` with ``flags`` in help order: each is the name of
+        a shared flag or a ``(name, keyword arguments)`` pair of its own."""
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            flag, kwargs = (flag, SHARED[flag]) if isinstance(flag, str) else flag
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("analyze", help="compare computing against the best found compilation")
-    _add_model_argument(p)
-    _add_common_flags(p)
-    p.add_argument("--cap-tree", type=cap, default=DEFAULT_TREE_CAP)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_analyze)
+    command("validate", cmd_validate, "check model invariants; print violations as JSON",
+            "model", "--out")
+    command("analyze", cmd_analyze, "compare computing against the best found compilation",
+            *DESIGN, "--cap-tree", "--out")
+    command("select", cmd_select, "choose the evidence subset to compile", *DESIGN,
+            ("--exhaustive", {"action": "store_true",
+                              "help": "search all subsets instead of hill-climbing"}),
+            ("--cap-exhaustive", {"type": count, "default": DEFAULT_SEARCH_CAP}), "--out")
+    command("compile", cmd_compile, "write a compiled lookup table (SACT binary)", *DESIGN,
+            ("--subset", {"help": "comma-separated evidence ids (default: greedy selection)"}),
+            ("--out", {"required": True}))
+    command("tree", cmd_tree, "build a situation-action tree and export it",
+            "model", "--lookahead", "--cap-tree",
+            ("--format", {"choices": ["json", "dot"], "default": "json"}), "--out")
 
-    p = sub.add_parser("select", help="choose the evidence subset to compile")
-    _add_model_argument(p)
-    _add_common_flags(p)
-    p.add_argument("--exhaustive", action="store_true",
-                   help="search all subsets instead of hill-climbing")
-    p.add_argument("--cap-exhaustive", type=cap, default=DEFAULT_SEARCH_CAP)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("compile", help="write a compiled lookup table (SACT binary)")
-    _add_model_argument(p)
-    _add_common_flags(p)
-    p.add_argument("--subset", help="comma-separated evidence ids (default: greedy selection)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("tree", help="build a situation-action tree and export it")
-    _add_model_argument(p)
-    p.add_argument("--lookahead", type=int, default=0)
-    p.add_argument("--cap-tree", type=cap, default=DEFAULT_TREE_CAP)
-    p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_tree)
-
-    p = sub.add_parser("lookup", help="run one observation through a compiled artifact")
-    _add_model_argument(p)
+    p = command("lookup", cmd_lookup, "run one observation through a compiled artifact", "model")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--table", help="path to a SACT table")
     group.add_argument("--tree", help="path to a JSON tree")
     p.add_argument("--obs", required=True, help="path to an observation JSON object")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_lookup)
+    p.add_argument("--out", **SHARED["--out"])
 
-    p = sub.add_parser("proto", help="export loss curves for prototypical weight profiles")
-    p.add_argument("--profile", action="append", choices=sorted(PRESETS),
-                   help="named preset (repeatable; default: all)")
-    p.add_argument("--profile-file", action="append",
-                   help="path to a profile JSON file (repeatable)")
-    p.add_argument("--p-h", type=float, default=0.5)
-    p.add_argument("--utilities", default="1,0,0,1",
-                   help="u_h_d,u_h_nd,u_nh_d,u_nh_nd")
-    p.add_argument("--method", choices=["exact", "gaussian"], default="gaussian")
-    p.add_argument("--normalization",
-                   choices=["relative-to-compute", "range-normalized"],
-                   default="relative-to-compute")
-    p.add_argument("--cap-enum", type=cap, default=DEFAULT_ENUMERATION_CAP)
-    p.add_argument("--out")
-    p.add_argument("--moments-out")
-    p.set_defaults(func=cmd_proto)
-
+    command("proto", cmd_proto, "export loss curves for prototypical weight profiles",
+            ("--profile", {"action": "append", "choices": sorted(PRESETS),
+                           "help": "named preset (repeatable; default: all)"}),
+            ("--profile-file", {"action": "append",
+                                "help": "path to a profile JSON file (repeatable)"}),
+            ("--p-h", {"type": float, "default": 0.5}),
+            ("--utilities", {"default": "1,0,0,1", "help": "u_h_d,u_h_nd,u_nh_d,u_nh_nd"}),
+            "--method",
+            ("--normalization", {"choices": ["relative-to-compute", "range-normalized"],
+                                 "default": "relative-to-compute"}),
+            "--cap-enum", "--out", ("--moments-out", {}), method="gaussian")
     return parser
 
 

@@ -4,7 +4,11 @@ import math
 import pytest
 
 from sact import CompiledTable, model_digest, model_from_json, threshold, write_table
+from sact import cli
 from sact.cli import build_parser, main
+from sact.exact import DEFAULT_ENUMERATION_CAP
+from sact.table import DEFAULT_SEARCH_CAP, DEFAULT_TABLE_CAP
+from sact.tree import DEFAULT_TREE_CAP
 
 from helpers import run_sact
 
@@ -178,6 +182,17 @@ def test_select_exhaustive(workspace):
     assert document["report"]["niv"] == pytest.approx(0.8, abs=1e-12)
 
 
+def test_select_refuses_an_exhaustive_gaussian_search(workspace):
+    # Exhaustive search values subsets exactly; it must not run under a Gaussian label.
+    result = run_sact("select", "m1.json", "--exhaustive", "--method", "gaussian",
+                      cwd=workspace)
+    assert result.returncode == 3
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"refused: exhaustive search values subsets exactly; use --method exact\n"
+    )
+
+
 def test_compile_then_lookup_round_trip(workspace):
     result = run_sact("compile", "m1.json", "--subset", "e1", "--out", "m1.sact", cwd=workspace)
     assert result.returncode == 0
@@ -328,12 +343,16 @@ CAP_FLAGS = [
     (["analyze", "m1.json"], "--cap-enum"),
     (["analyze", "m1.json"], "--cap-table"),
     (["analyze", "m1.json"], "--cap-tree"),
+    (["analyze", "m1.json"], "--lookahead"),
     (["select", "m1.json"], "--cap-enum"),
     (["select", "m1.json"], "--cap-table"),
+    (["select", "m1.json"], "--lookahead"),
     (["select", "m1.json", "--exhaustive"], "--cap-exhaustive"),
     (["compile", "m1.json", "--out", "m1.sact"], "--cap-enum"),
     (["compile", "m1.json", "--out", "m1.sact"], "--cap-table"),
+    (["compile", "m1.json", "--out", "m1.sact"], "--lookahead"),
     (["tree", "m1.json"], "--cap-tree"),
+    (["tree", "m1.json"], "--lookahead"),
     (["proto"], "--cap-enum"),
 ]
 
@@ -344,10 +363,38 @@ def test_every_cap_flag_refuses_a_negative_value(command, flag, capsys):
         main([*command, flag, "-1"])
     assert excinfo.value.code == 2
     assert capsys.readouterr().err.endswith(
-        f"error: argument {flag}: a cap must be 0 or more, got -1\n"
+        f"error: argument {flag}: must be 0 or more, got -1\n"
     )
     args = build_parser().parse_args([*command, flag, "0"])
     assert getattr(args, flag[2:].replace("-", "_")) == 0
+
+
+DESIGN_DEFAULTS = {"model": "m1.json", "method": "exact", "lookahead": 0,
+                   "cap_enum": DEFAULT_ENUMERATION_CAP, "cap_table": DEFAULT_TABLE_CAP}
+PARSED_DEFAULTS = [
+    (["validate", "m1.json"], {"model": "m1.json", "out": None, "func": cli.cmd_validate}),
+    (["analyze", "m1.json"], {**DESIGN_DEFAULTS, "cap_tree": DEFAULT_TREE_CAP, "out": None,
+                              "func": cli.cmd_analyze}),
+    (["select", "m1.json"], {**DESIGN_DEFAULTS, "exhaustive": False,
+                             "cap_exhaustive": DEFAULT_SEARCH_CAP, "out": None,
+                             "func": cli.cmd_select}),
+    (["compile", "m1.json", "--out", "m1.sact"], {**DESIGN_DEFAULTS, "subset": None,
+                                                  "out": "m1.sact", "func": cli.cmd_compile}),
+    (["tree", "m1.json"], {"model": "m1.json", "lookahead": 0, "cap_tree": DEFAULT_TREE_CAP,
+                           "format": "json", "out": None, "func": cli.cmd_tree}),
+    (["lookup", "m1.json", "--tree", "t.json", "--obs", "obs.json"],
+     {"model": "m1.json", "table": None, "tree": "t.json", "obs": "obs.json", "out": None,
+      "func": cli.cmd_lookup}),
+    (["proto"], {"profile": None, "profile_file": None, "p_h": 0.5, "utilities": "1,0,0,1",
+                 "method": "gaussian", "normalization": "relative-to-compute",
+                 "cap_enum": DEFAULT_ENUMERATION_CAP, "out": None, "moments_out": None,
+                 "func": cli.cmd_proto}),
+]
+
+
+@pytest.mark.parametrize("argv,expected", PARSED_DEFAULTS, ids=[a[0] for a, _ in PARSED_DEFAULTS])
+def test_parsed_defaults_are_pinned(argv, expected):
+    assert vars(build_parser().parse_args(argv)) == {"command": argv[0], **expected}
 
 
 def test_analyze_with_a_negative_table_cap_exits_two(workspace):

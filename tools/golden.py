@@ -12,7 +12,8 @@ models.  The quantities: ``model_digest`` and the model's JSON, exact and
 Gaussian valuations of every prefix, greedy traces of both methods at
 lookahead 0, 1 and 2, exhaustive search (m <= 11), tables, trees (JSON, DOT,
 ``tree_ev``), loss curves, ``export_moments``, and the exit code, stdout,
-stderr and written files of each command on good and bad inputs.
+stderr and written files of each command on good and bad inputs and of every
+``--help``.
 
 Usage: python3 tools/golden.py > tests/golden.txt
 """
