@@ -40,6 +40,7 @@ import numpy as np  # noqa: E402
 import sact.cli  # noqa: E402
 from sact import (  # noqa: E402
     PRESETS,
+    CostModel,
     SactError,
     UtilityTable,
     WeightProfile,
@@ -182,12 +183,16 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
     search = design_model(rng, 10, alpha=(0.05, 0.95), beta=(0.05, 0.95), k5=1e-4, k6=1.0)
     bad = json.loads(model_to_json(model))
     bad["evidence"][0]["alpha"] = 1.0
+    # Valid, but its utilities and lifetime factor overflow every NIV to inf.
+    overflow = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
+                  costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308))
     ids = [item.id for item in model.evidence]
     files = {
         "a.json": model_to_json(model),
         "b.json": model_to_json(search),
         "m1.json": model_to_json(m1()),
         "bad.json": json.dumps(bad),
+        "overflow.json": model_to_json(overflow),
         "notjson.json": "{not json",
         "obs.json": json.dumps({i: k % 3 == 0 for k, i in enumerate(ids)}),
         "obs_table.json": json.dumps({i: k % 2 == 0 for k, i in enumerate(ids[:6])}),
@@ -253,6 +258,9 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("tree.lookahead_negative", ["tree", a, "--lookahead", "-1"], None),
         ("select.exhaustive_gaussian", ["select", b, "--exhaustive", "--method", "gaussian"],
          None),
+        # Values that JSON cannot hold: an infinite NIV and a NaN margin.
+        ("analyze.overflow", ["analyze", out("overflow.json")], None),
+        ("select.exhaustive_overflow", ["select", out("overflow.json"), "--exhaustive"], None),
     ]
 
 
