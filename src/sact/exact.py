@@ -15,7 +15,7 @@ above :data:`MEMORY_BUDGET` is refused before anything is reserved.
 :func:`act_probabilities` values the prefix plus one more item without
 building that item's arrays.  Both read the item's two branches, (P(E | H),
 P(E | not-H), weight) for E true and for E false, from its record, computed
-once when the item was made (:attr:`~sact.model.EvidenceVariable.record`).
+once, on first read (:attr:`~sact.model.EvidenceVariable.record`).
 :mod:`sact.table` values every subset through this kernel, extending one
 prefix.  Every weight sum is still accumulated left to right over the
 subset, so all results are bit-identical to enumerating each subset from

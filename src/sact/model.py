@@ -50,23 +50,14 @@ class EvidenceVariable:
     alpha: float
     beta: float
 
-    def __post_init__(self) -> None:
-        # The record is computed once, when the item is made, so that no
-        # valuation or search recomputes or allocates it.  An item outside
-        # (0, 1) keeps None and raises when it is read: a model holding one
-        # still parses, and ``validate_model`` reports it.
-        try:
-            record: ItemRecord | None = item_record(self.alpha, self.beta)
-        except (DomainError, TypeError):
-            record = None
-        object.__setattr__(self, "_record", record)
-
-    @property
+    @cached_property
     def record(self) -> ItemRecord:
-        """The item's :func:`item_record`, computed when the item was made."""
-        if self._record is None:
-            item_record(self.alpha, self.beta)  # raises the DomainError
-        return self._record
+        """The item's :func:`item_record`, computed on first read.
+
+        An item outside (0, 1) still parses, and raises its
+        :class:`DomainError` on every read; ``validate_model`` reports it.
+        """
+        return item_record(self.alpha, self.beta)
 
 
 class ItemRecord(NamedTuple):

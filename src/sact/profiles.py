@@ -40,34 +40,58 @@ _ZERO_COSTS = CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 PROFILE_CAP = 1 << 16
 
 
+def _refuse_above_cap(name: str, size: int) -> None:
+    if size > PROFILE_CAP:
+        raise CapExceededError(
+            f"profile {name!r} has {size} items, above the profile cap of {PROFILE_CAP}"
+        )
+
+
+def _decay_weights(a: float, b: float, w_max: float, m: int) -> list[float]:
+    if m < 1:
+        raise DomainError("linear-decay profile needs count >= 1")
+    if not (w_max > 0.0) or a < 0.0 or b < 0.0:
+        raise DomainError("linear-decay profile needs w_max > 0, intercept >= 0, slope >= 0")
+    support = min(w_max, a / b) if b > 0.0 else w_max
+    total = a * support - 0.5 * b * support * support
+    if not (total > 0.0):
+        raise DomainError("profile density integrates to zero on (0, w_max]")
+    weights = []
+    for i in range(1, m + 1):
+        q = (i - 0.5) / m
+        if b == 0.0:
+            weights.append(q * support)
+        else:
+            # Solve (a*w - b*w^2/2) / total = q for w on (0, support].
+            discriminant = max(a * a - 2.0 * b * q * total, 0.0)
+            weights.append((a - math.sqrt(discriminant)) / b)
+    return weights
+
+
 @dataclass(frozen=True)
 class WeightProfile:
     """A named frequency distribution over strictly positive evidence weights.
 
-    ``linear-decay`` profiles have density ``max(0, intercept - slope*w)`` on
-    ``(0, w_max]`` and are realized by sampling ``count`` weights at the
-    midpoint quantiles of the normalized density (deterministic, no RNG).
-    ``explicit`` profiles list their weights directly.
+    A profile is its list of weights.  ``linear_decay`` samples ``count``
+    weights from the density ``max(0, intercept - slope*w)`` on
+    ``(0, w_max]`` at the midpoint quantiles of the normalized density
+    (deterministic, no RNG); it refuses a count above ``PROFILE_CAP`` before
+    it samples.  ``explicit`` lists the weights directly.
     """
 
     name: str
-    kind: Literal["linear-decay", "explicit"]
-    intercept: float = 0.0
-    slope: float = 0.0
-    w_max: float = 0.0
-    count: int = 0
-    weights: tuple[float, ...] = ()
+    weights: tuple[float, ...]
 
     @classmethod
     def linear_decay(
         cls, name: str, *, intercept: float, slope: float, w_max: float, count: int
     ) -> "WeightProfile":
-        return cls(name=name, kind="linear-decay", intercept=intercept, slope=slope,
-                   w_max=w_max, count=count)
+        _refuse_above_cap(name, count)
+        return cls(name, tuple(_decay_weights(intercept, slope, w_max, count)))
 
     @classmethod
     def explicit(cls, name: str, weights: Sequence[float]) -> "WeightProfile":
-        return cls(name=name, kind="explicit", weights=tuple(weights), count=len(weights))
+        return cls(name, tuple(weights))
 
 
 # Shipped reconstructions of three uncertainty levels.  All three use the same
@@ -120,28 +144,6 @@ def profile_from_dict(data: object) -> WeightProfile:
     raise FormatError(f"profile.kind must be 'linear-decay' or 'explicit', got {kind!r}")
 
 
-def _decay_weights(profile: WeightProfile) -> list[float]:
-    a, b, w_max, m = profile.intercept, profile.slope, profile.w_max, profile.count
-    if m < 1:
-        raise DomainError("linear-decay profile needs count >= 1")
-    if not (w_max > 0.0) or a < 0.0 or b < 0.0:
-        raise DomainError("linear-decay profile needs w_max > 0, intercept >= 0, slope >= 0")
-    support = min(w_max, a / b) if b > 0.0 else w_max
-    total = a * support - 0.5 * b * support * support
-    if not (total > 0.0):
-        raise DomainError("profile density integrates to zero on (0, w_max]")
-    weights = []
-    for i in range(1, m + 1):
-        q = (i - 0.5) / m
-        if b == 0.0:
-            weights.append(q * support)
-        else:
-            # Solve (a*w - b*w^2/2) / total = q for w on (0, support].
-            discriminant = max(a * a - 2.0 * b * q * total, 0.0)
-            weights.append((a - math.sqrt(discriminant)) / b)
-    return weights
-
-
 def realize_profile(profile: WeightProfile) -> list[EvidenceVariable]:
     """Turn a profile into concrete evidence variables under symmetry.
 
@@ -151,17 +153,10 @@ def realize_profile(profile: WeightProfile) -> list[EvidenceVariable]:
     zero-padded so lexicographic order matches index order.  A profile of
     more than ``PROFILE_CAP`` items is refused before any is made.
     """
-    size = len(profile.weights) if profile.kind == "explicit" else profile.count
-    if size > PROFILE_CAP:
-        raise CapExceededError(
-            f"profile {profile.name!r} has {size} items, above the profile cap of {PROFILE_CAP}"
-        )
-    if profile.kind == "explicit":
-        weights = list(profile.weights)
-        if not weights:
-            raise DomainError("explicit profile has no weights")
-    else:
-        weights = _decay_weights(profile)
+    weights = profile.weights
+    _refuse_above_cap(profile.name, len(weights))
+    if not weights:
+        raise DomainError("explicit profile has no weights")
     width = len(str(len(weights)))
     out = []
     for i, w in enumerate(weights, start=1):

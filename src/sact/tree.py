@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Union
 
 from .errors import (
@@ -70,12 +71,11 @@ def count_nodes(node: Node) -> int:
 @dataclass(frozen=True)
 class SituationActionTree:
     root: Node
-    node_count: int
     model_digest: bytes
 
-    @classmethod
-    def from_root(cls, root: Node, digest: bytes) -> "SituationActionTree":
-        return cls(root=root, node_count=count_nodes(root), model_digest=digest)
+    @cached_property
+    def node_count(self) -> int:
+        return count_nodes(self.root)
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def build_tree(
     for evidence_id, gain in events:
         steps.append(ExpansionStep(evidence_id, running, running + gain))
         running += gain
-    tree = SituationActionTree.from_root(root, model_digest(model))
+    tree = SituationActionTree(root, model_digest(model))
     return tree, BuildTrace(steps=tuple(steps), initial_niv=initial_niv, final_niv=running)
 
 
@@ -348,10 +348,9 @@ def tree_from_json(text: str) -> SituationActionTree:
         raise FormatError("model_digest must be a hex string") from None
     if len(digest) != 32:
         raise FormatError("model_digest must encode exactly 32 bytes")
-    root = _node_from_dict(data["root"], "root")
-    counted = count_nodes(root)
-    if type(data["node_count"]) is not int or data["node_count"] != counted:
+    tree = SituationActionTree(_node_from_dict(data["root"], "root"), digest)
+    if type(data["node_count"]) is not int or data["node_count"] != tree.node_count:
         raise FormatError(
-            f"node_count is {data['node_count']!r} but the tree has {counted} nodes"
+            f"node_count is {data['node_count']!r} but the tree has {tree.node_count} nodes"
         )
-    return SituationActionTree(root=root, node_count=counted, model_digest=digest)
+    return tree

@@ -289,7 +289,7 @@ def complete_tree(model: DiagnosisModel, subset) -> SituationActionTree:
             build(i + 1, w_path + pair.w_neg),
         )
 
-    return SituationActionTree.from_root(build(0, 0.0), model_digest(model))
+    return SituationActionTree(build(0, 0.0), model_digest(model))
 
 
 def example_action_tree() -> Internal:

@@ -116,7 +116,7 @@ def test_criterion_2_gaussian_convergence():
 
 def test_criterion_3_example_tree_fidelity():
     model = make_model([(0.5, 0.5)] * 3, ids=["e3", "e6", "e7"])
-    tree = SituationActionTree.from_root(example_action_tree(), model_digest(model))
+    tree = SituationActionTree(example_action_tree(), model_digest(model))
 
     nodes_ok = tree.node_count == 7
     lookups_ok = True

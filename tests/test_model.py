@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import sact.model
 from sact import (
     Action,
     DomainError,
@@ -105,6 +106,35 @@ class TestItemWeights:
                 branches, moments = item.record
                 assert [x.hex() for x in sum(branches, ())] == [x.hex() for x in fresh[0]]
                 assert [x.hex() for x in moments] == [x.hex() for x in fresh[1]]
+
+    def test_record_is_computed_on_first_read_and_once(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append((alpha, beta))
+            return item_record(alpha, beta)
+
+        monkeypatch.setattr(sact.model, "item_record", counted)
+        model = model_from_json(json.dumps(model_to_dict(random_model(random.Random(5), 4))))
+        assert validate_model(model) == []
+        assert calls == []
+        item = model.evidence[2]
+        assert item.record is item.record
+        assert calls == [(item.alpha, item.beta)]
+
+    def test_a_bad_record_raises_on_every_read(self, monkeypatch):
+        calls = []
+
+        def counted(alpha, beta):
+            calls.append((alpha, beta))
+            return item_record(alpha, beta)
+
+        monkeypatch.setattr(sact.model, "item_record", counted)
+        item = make_model([(1.0, 0.5)]).evidence[0]
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^alpha = 1\.0 must lie"):
+                item.record
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (0.5, 0.0), (0.3, 1.5)])
     def test_a_bad_item_parses_and_raises_where_its_weights_are_read(self, alpha, beta):

@@ -96,16 +96,30 @@ class TestRealizeProfile:
         flat = dict(intercept=2.0, slope=0.0, w_max=1.0)
         assert len(realize_profile(WeightProfile.linear_decay("flat", count=3, **flat))) == 3
         assert len(realize_profile(WeightProfile.explicit("w", [0.5, 1.0, 1.5]))) == 3
-        for profile in (WeightProfile.linear_decay("flat", count=4, **flat),
-                        WeightProfile.explicit("w", [0.5, 1.0, 1.5, 2.0])):
+        # A linear-decay profile refuses when it is made, an explicit one when
+        # it is realized.
+        refusals = [
+            ("flat", lambda: WeightProfile.linear_decay("flat", count=4, **flat)),
+            ("w", lambda: realize_profile(WeightProfile.explicit("w", [0.5, 1.0, 1.5, 2.0]))),
+        ]
+        for name, refuse in refusals:
             with pytest.raises(CapExceededError) as excinfo:
-                realize_profile(profile)
-            assert str(excinfo.value) == (
-                f"profile {profile.name!r} has 4 items, above the profile cap of 3"
-            )
+                refuse()
+            assert str(excinfo.value) == f"profile {name!r} has 4 items, above the profile cap of 3"
+
+    def test_linear_decay_over_the_cap_refuses_before_sampling(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("sampled a profile above the cap")
+
+        monkeypatch.setattr(sact.profiles, "_decay_weights", unreachable)
+        with pytest.raises(CapExceededError):
+            WeightProfile.linear_decay("big", intercept=1.0, slope=0.0, w_max=1.0,
+                                       count=sact.profiles.PROFILE_CAP + 1)
 
     def test_profile_cap_admits_the_presets(self):
-        assert all(profile.count <= sact.profiles.PROFILE_CAP for profile in PRESETS.values())
+        assert all(
+            len(profile.weights) <= sact.profiles.PROFILE_CAP for profile in PRESETS.values()
+        )
 
 
 class TestTopnSubset:

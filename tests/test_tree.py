@@ -9,6 +9,7 @@ from sact import (
     CostModel,
     DomainError,
     FormatError,
+    Internal,
     Leaf,
     ObservationError,
     SituationActionTree,
@@ -42,13 +43,13 @@ def uniform_three_test_model(**kwargs):
 
 
 def example_tree(model):
-    return SituationActionTree.from_root(example_action_tree(), model_digest(model))
+    return SituationActionTree(example_action_tree(), model_digest(model))
 
 
 class TestTreeEv:
     def test_null_tree_equals_prior_action_value(self):
         model = m1()
-        tree = SituationActionTree.from_root(Leaf(Action.ACT), model_digest(model))
+        tree = SituationActionTree(Leaf(Action.ACT), model_digest(model))
         assert tree_ev(model, tree) == pytest.approx(0.5, abs=1e-15)
 
     def test_example_tree_on_uninformative_evidence(self):
@@ -65,10 +66,8 @@ class TestTreeEv:
         assert value == pytest.approx(exact_ev_subset(model, ["e1"]).ev, abs=1e-12)
 
     def test_repeated_test_on_a_path_rejected(self):
-        from sact import Internal
-
         model = m1()
-        bad = SituationActionTree.from_root(
+        bad = SituationActionTree(
             Internal("e1", Internal("e1", Leaf(Action.ACT), Leaf(Action.ACT)), Leaf(Action.NO_ACT)),
             model_digest(model),
         )
@@ -76,10 +75,8 @@ class TestTreeEv:
             tree_ev(model, bad)
 
     def test_unknown_test_rejected(self):
-        from sact import Internal
-
         model = m1()
-        bad = SituationActionTree.from_root(
+        bad = SituationActionTree(
             Internal("zz", Leaf(Action.ACT), Leaf(Action.NO_ACT)), model_digest(model)
         )
         with pytest.raises(UnknownEvidenceError):
@@ -107,7 +104,7 @@ class TestTreeNiv:
 
     def test_null_tree_with_free_memory(self):
         model = m1()
-        tree = SituationActionTree.from_root(Leaf(Action.ACT), model_digest(model))
+        tree = SituationActionTree(Leaf(Action.ACT), model_digest(model))
         assert tree_niv(model, tree).niv == pytest.approx(0.5, abs=1e-15)
 
     def test_depth_one_tree_with_unit_costs(self):
@@ -163,6 +160,12 @@ class TestBuildTree:
             model = random_model(rng, rng.randint(0, 6))
             tree, _ = build_tree(model)
             assert tree.node_count == count_nodes(tree.root)
+
+    def test_directly_built_tree_counts_its_root(self):
+        root = Internal("e1", Internal("e2", Leaf(Action.ACT), Leaf(Action.NO_ACT)),
+                        Leaf(Action.NO_ACT))
+        tree = SituationActionTree(root, bytes(32))
+        assert tree.node_count == count_nodes(root) == 5
 
     def test_leaf_actions_agree_with_rule_recomputation(self):
         rng = random.Random(163)
@@ -220,7 +223,7 @@ class TestTreeLookup:
         assert consulted == ["e7", "e3"]
 
     def test_null_tree_consults_nothing(self):
-        tree = SituationActionTree.from_root(Leaf(Action.ACT), bytes(32))
+        tree = SituationActionTree(Leaf(Action.ACT), bytes(32))
         action, consulted = tree_lookup(tree, {})
         assert action is Action.ACT
         assert consulted == []
@@ -234,7 +237,7 @@ class TestTreeLookup:
 
 class TestExport:
     def test_null_tree_dot_has_one_node(self):
-        tree = SituationActionTree.from_root(Leaf(Action.ACT), bytes(32))
+        tree = SituationActionTree(Leaf(Action.ACT), bytes(32))
         dot = export_tree(tree, format="dot")
         assert dot.count("label=") == 1
         assert "->" not in dot
@@ -276,6 +279,6 @@ class TestExport:
             tree_from_json("not json")
 
     def test_unknown_format_rejected(self):
-        tree = SituationActionTree.from_root(Leaf(Action.ACT), bytes(32))
+        tree = SituationActionTree(Leaf(Action.ACT), bytes(32))
         with pytest.raises(FormatError):
             export_tree(tree, format="yaml")
