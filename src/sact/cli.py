@@ -75,7 +75,12 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _emit_json(document: object, out: str | None) -> None:
-    _emit_text(json.dumps(document, indent=2, sort_keys=True) + "\n", out)
+    """Write ``document`` as JSON, or nothing if it holds an infinity or a NaN."""
+    try:
+        text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"the result cannot be written as JSON: {exc}") from None
+    _emit_text(text + "\n", out)
 
 
 def _read_text(path: str) -> str:

@@ -55,6 +55,25 @@ def test_unsolvable_threshold_fails_validation_not_analyze(workspace):
     assert b"degenerate_threshold" in result.stderr
 
 
+@pytest.mark.parametrize("command", [("analyze",), ("select", "--exhaustive")],
+                         ids=["analyze", "select-exhaustive"])
+def test_result_json_cannot_hold_exits_one_and_writes_nothing(workspace, command):
+    # Valid, but every NIV overflows to inf and analyze's margin is NaN.
+    overflow = json.loads(json.dumps(M1))
+    overflow["utilities"] = {"u_h_d": 1e300, "u_h_nd": 0, "u_nh_d": 0, "u_nh_nd": 1e300}
+    overflow["costs"]["r"] = 1e308
+    (workspace / "overflow.json").write_text(json.dumps(overflow))
+    assert run_sact("validate", "overflow.json", cwd=workspace).returncode == 0
+    for out in ((), ("--out", "result.json")):
+        result = run_sact(command[0], "overflow.json", *command[1:], *out, cwd=workspace)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.startswith(
+            b"invalid input: the result cannot be written as JSON: Out of range float values"
+        )
+        assert not (workspace / "result.json").exists()
+
+
 def test_non_finite_number_exits_two(workspace):
     text = json.dumps(M1).replace('"p_h": 0.5', '"p_h": NaN')
     (workspace / "nan.json").write_text(text)
