@@ -122,20 +122,6 @@ class TestItemWeights:
         assert item.record is item.record
         assert calls == [(item.alpha, item.beta)]
 
-    def test_a_bad_record_raises_on_every_read(self, monkeypatch):
-        calls = []
-
-        def counted(alpha, beta):
-            calls.append((alpha, beta))
-            return item_record(alpha, beta)
-
-        monkeypatch.setattr(sact.model, "item_record", counted)
-        item = make_model([(1.0, 0.5)]).evidence[0]
-        for _ in range(2):
-            with pytest.raises(DomainError, match=r"^alpha = 1\.0 must lie"):
-                item.record
-        assert len(calls) == 2
-
     @pytest.mark.parametrize("alpha,beta", [(1.0, 0.5), (0.5, 0.0), (0.3, 1.5)])
     def test_a_bad_item_parses_and_raises_where_its_weights_are_read(self, alpha, beta):
         model = model_from_dict(model_to_dict(make_model([(0.8, 0.2), (alpha, beta)])))
