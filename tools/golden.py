@@ -12,8 +12,8 @@ models.  The quantities: ``model_digest`` and the model's JSON, exact and
 Gaussian valuations of every prefix, greedy traces of both methods at
 lookahead 0, 1 and 2, exhaustive search (m <= 11), tables, trees (JSON, DOT,
 ``tree_ev``), loss curves, ``export_moments``, and the exit code, stdout,
-stderr and written files of each command on good and bad inputs and of every
-``--help``.
+stderr and written file (or ``absent``) of each command on good and bad inputs
+and of every ``--help``.
 
 Usage: python3 tools/golden.py > tests/golden.txt
 """
@@ -177,7 +177,10 @@ def profile_lines() -> list[str]:
 
 
 def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
-    """(case, argv, file it writes) of each command, on good and bad inputs."""
+    """(case, argv, file it may write) of each command, on good and bad inputs.
+
+    A file the command did not write is fingerprinted as ``absent``.
+    """
     rng = random.Random(11)
     model = design_model(rng, 12, alpha=(0.55, 0.8), beta=(0.2, 0.45), k5=1e-10, k6=1e7)
     search = design_model(rng, 10, alpha=(0.05, 0.95), beta=(0.05, 0.95), k5=1e-4, k6=1.0)
@@ -261,6 +264,10 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         # Values that JSON cannot hold: an infinite NIV and a NaN margin.
         ("analyze.overflow", ["analyze", out("overflow.json")], None),
         ("select.exhaustive_overflow", ["select", out("overflow.json"), "--exhaustive"], None),
+        ("select.overflow", ["select", out("overflow.json")], None),
+        ("compile.overflow", ["compile", out("overflow.json"), "--out", out("overflow.sact")],
+         "overflow.sact"),
+        ("tree.overflow", ["tree", out("overflow.json")], None),
     ]
 
 
@@ -292,7 +299,9 @@ def cli_lines() -> list[str]:
                 f"cli.{case} stderr {fingerprint(stderr)}",
             ]
             if writes is not None:
-                lines.append(f"cli.{case} file {fingerprint((work / writes).read_bytes())}")
+                written = work / writes
+                value = fingerprint(written.read_bytes()) if written.exists() else "absent"
+                lines.append(f"cli.{case} file {value}")
     return lines
 
 
