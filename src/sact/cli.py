@@ -9,6 +9,7 @@ human-readable notes go to stderr so pipelines stay clean.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -320,7 +321,15 @@ SHARED = {
 DESIGN = ("model", "--method", "--lookahead", "--cap-enum", "--cap-table")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sact`` argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser as it was: an append flag copies its default,
+    and usage, help and error text are formatted when they are printed, for
+    the ``sys.stdout``, ``sys.stderr`` and ``COLUMNS`` of that moment.  So
+    :func:`main` parses every command line of a process with one parser.
+    """
     parser = argparse.ArgumentParser(
         prog="sact",
         description="Compile binary diagnosis models into situation-action tables and trees.",

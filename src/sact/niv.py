@@ -14,6 +14,7 @@ costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal, Union
 
@@ -160,6 +161,22 @@ def table_niv(model: DiagnosisModel, subset: tuple[str, ...], ev: float) -> floa
     it.
     """
     return _assess(model, TablePolicy(subset), ev)[3]
+
+
+def finite(value: float, what: str) -> float:
+    """``value`` if it is a finite number; otherwise a :class:`DomainError` naming ``what``.
+
+    Searches rank candidates by NIV, and an infinite or NaN value ranks
+    nothing: on a valid model whose utilities, costs or lifetime factor
+    overflow, every candidate ties at inf.  Each search step checks the value
+    it compares once, so such a model is refused instead of valued.
+    """
+    if not math.isfinite(value):
+        raise DomainError(
+            f"{what} is {value}, not a finite number: "
+            "the model's utilities, costs or r overflow a float"
+        )
+    return value
 
 
 def outranks(value: float, ev: float, evidence_id: str, best: tuple | None) -> bool:

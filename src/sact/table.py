@@ -42,7 +42,7 @@ from .exact import (
     weight_sums,
 )
 from .model import Action, DiagnosisModel, Observation, model_digest, threshold
-from .niv import Method, NivReport, TablePolicy, niv, outranks, table_niv
+from .niv import Method, NivReport, TablePolicy, finite, niv, outranks, table_niv
 
 DEFAULT_TABLE_CAP = 25
 DEFAULT_SEARCH_CAP = 15
@@ -306,7 +306,8 @@ def greedy_select(
     expected-value gain, then the lexicographically smaller id.  A strictly
     improving candidate is always accepted; with ``lookahead = L`` up to L
     consecutive non-improving acceptances are tolerated before the best
-    prefix seen is kept.
+    prefix seen is kept.  A NIV that is not finite is refused with
+    :class:`DomainError`.
 
     The (P(act | H), P(act | not-H)) of each accepted step is written to
     ``model.valuation_record``, so valuing the returned subset afterwards
@@ -321,7 +322,8 @@ def greedy_select(
     chosen: list[str] = []
     record = model.valuation_record
 
-    current_niv = table_niv(model, (), compose_ev(model, *evaluate(())))
+    current_niv = finite(table_niv(model, (), compose_ev(model, *evaluate(()))),
+                         "the net inferential value of the empty table")
     best_niv, best_len = current_niv, 0
     steps: list[SelectionStep] = []
     tolerance = lookahead
@@ -342,6 +344,7 @@ def greedy_select(
                 best_candidate = (value, ev, evidence_id, p_act)
         assert best_candidate is not None
         value, _, evidence_id, p_act = best_candidate
+        finite(value, "the net inferential value of the best next table")
         if value > current_niv:
             tolerance = lookahead
         elif tolerance > 0:

@@ -39,7 +39,7 @@ from .model import (
     parse_json,
     threshold,
 )
-from .niv import NivReport, TreePolicy, niv, outranks
+from .niv import NivReport, TreePolicy, finite, niv, outranks
 
 DEFAULT_TREE_CAP = 20
 
@@ -159,7 +159,8 @@ def build_tree(
     in which case the whole subtree is recorded as a single step.
 
     Path probabilities are cheap running products, so valuation is exact;
-    there is no Gaussian variant for asymmetric paths.
+    there is no Gaussian variant for asymmetric paths.  A NIV or gain that is
+    not finite is refused with :class:`DomainError`.
     """
     if lookahead < 0:
         raise MethodError("lookahead depth must be >= 0")
@@ -198,6 +199,7 @@ def build_tree(
         if best is None:
             return Leaf(action), 0.0, []
         dniv, _, evidence_id, branches = best
+        finite(dniv, "the net inferential value gain of the best expansion")
 
         def children(child_tolerance: int):
             used_below = used | {evidence_id}
@@ -221,14 +223,16 @@ def build_tree(
         return Leaf(action), 0.0, []
 
     null_action = optimal_action(0.0, thr)
-    initial_niv = r * _leaf_value(model, 1.0, 1.0, null_action) - node_cost
+    initial_niv = finite(r * _leaf_value(model, 1.0, 1.0, null_action) - node_cost,
+                         "the net inferential value of the null tree")
     root, _, events = grow(1.0, 1.0, 0.0, frozenset(), lookahead)
 
     steps = []
     running = initial_niv
     for evidence_id, gain in events:
-        steps.append(ExpansionStep(evidence_id, running, running + gain))
-        running += gain
+        after = finite(running + gain, "the net inferential value of the grown tree")
+        steps.append(ExpansionStep(evidence_id, running, after))
+        running = after
     tree = SituationActionTree(root, model_digest(model))
     return tree, BuildTrace(steps=tuple(steps), initial_niv=initial_niv, final_niv=running)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -55,23 +56,44 @@ def test_unsolvable_threshold_fails_validation_not_analyze(workspace):
     assert b"degenerate_threshold" in result.stderr
 
 
-@pytest.mark.parametrize("command", [("analyze",), ("select", "--exhaustive")],
-                         ids=["analyze", "select-exhaustive"])
-def test_result_json_cannot_hold_exits_one_and_writes_nothing(workspace, command):
-    # Valid, but every NIV overflows to inf and analyze's margin is NaN.
+def write_overflow_model(workspace):
+    """A valid model whose utilities and r overflow every NIV to inf."""
     overflow = json.loads(json.dumps(M1))
     overflow["utilities"] = {"u_h_d": 1e300, "u_h_nd": 0, "u_nh_d": 0, "u_nh_nd": 1e300}
     overflow["costs"]["r"] = 1e308
     (workspace / "overflow.json").write_text(json.dumps(overflow))
     assert run_sact("validate", "overflow.json", cwd=workspace).returncode == 0
+
+
+# analyze refuses in greedy selection, before its NaN margin reaches the JSON.
+@pytest.mark.parametrize("command,message", [
+    (("analyze",), b"invalid input: the net inferential value of the empty table is inf"),
+    (("select", "--exhaustive"),
+     b"invalid input: the result cannot be written as JSON: Out of range float values"),
+], ids=["analyze", "select-exhaustive"])
+def test_result_json_cannot_hold_exits_one_and_writes_nothing(workspace, command, message):
+    write_overflow_model(workspace)
     for out in ((), ("--out", "result.json")):
         result = run_sact(command[0], "overflow.json", *command[1:], *out, cwd=workspace)
         assert result.returncode == 1
         assert result.stdout == b""
-        assert result.stderr.startswith(
-            b"invalid input: the result cannot be written as JSON: Out of range float values"
-        )
+        assert result.stderr.startswith(message)
         assert not (workspace / "result.json").exists()
+
+
+@pytest.mark.parametrize("command,refused", [
+    ("select", b"the empty table"), ("compile", b"the empty table"), ("tree", b"the null tree"),
+], ids=["select", "compile", "tree"])
+def test_searches_refuse_an_overflowing_niv(workspace, command, refused):
+    write_overflow_model(workspace)
+    result = run_sact(command, "overflow.json", "--out", "result", cwd=workspace)
+    assert result.returncode == 1
+    assert result.stdout == b""
+    assert result.stderr == (
+        b"invalid input: the net inferential value of " + refused + b" is inf, not a finite "
+        b"number: the model's utilities, costs or r overflow a float\n"
+    )
+    assert not (workspace / "result").exists()
 
 
 def test_non_finite_number_exits_two(workspace):
@@ -414,6 +436,51 @@ PARSED_DEFAULTS = [
 @pytest.mark.parametrize("argv,expected", PARSED_DEFAULTS, ids=[a[0] for a, _ in PARSED_DEFAULTS])
 def test_parsed_defaults_are_pinned(argv, expected):
     assert vars(build_parser().parse_args(argv)) == {"command": argv[0], **expected}
+
+
+def test_main_builds_the_parser_once(workspace, monkeypatch, capsys):
+    main(["validate", str(workspace / "m1.json")])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["select", str(workspace / "m1.json")]) == 0
+    assert main(["validate", str(workspace / "m1.json")]) == 0
+    assert built == []
+    assert build_parser() is build_parser()
+
+
+def test_parsing_leaves_no_state_behind():
+    parser = build_parser()
+    assert parser.parse_args(["proto", "--profile", "high"]).profile == ["high"]
+    assert parser.parse_args(["proto"]).profile is None
+    table = parser.parse_args(["lookup", "m.json", "--table", "t.sact", "--obs", "o.json"])
+    assert (table.table, table.tree) == ("t.sact", None)
+    tree = parser.parse_args(["lookup", "m.json", "--tree", "t.json", "--obs", "o.json"])
+    assert (tree.table, tree.tree) == (None, "t.json")
+
+
+def help_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    assert excinfo.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"]], ids=["sact", "analyze"])
+def test_help_follows_the_width_at_call_time(argv, monkeypatch, capsys):
+    build_parser()
+    texts = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        fresh = build_parser.__wrapped__()
+        texts[columns] = help_text(main, argv, capsys)
+        assert texts[columns] == help_text(fresh.parse_args, argv, capsys)
+    assert texts["60"] != texts["120"]
 
 
 def test_analyze_with_a_negative_table_cap_exits_two(workspace):

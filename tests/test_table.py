@@ -10,6 +10,7 @@ from sact import (
     Action,
     CapExceededError,
     CostModel,
+    DomainError,
     FormatError,
     ObservationError,
     UnknownEvidenceError,
@@ -25,6 +26,7 @@ from sact import (
     read_table,
     table_lookup,
     TablePolicy,
+    UtilityTable,
     threshold,
     write_table,
 )
@@ -49,6 +51,13 @@ class TestGreedySelect:
         assert subset == ()
         assert trace.stopped_reason == "no-improvement"
         assert trace.kept == 0
+
+    def test_a_best_table_whose_niv_overflows_is_refused(self):
+        # The empty table is worth r * 0.5e300 = 1.5e308; the table over e1, r * 0.8e300.
+        model = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
+                   costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3e8))
+        with pytest.raises(DomainError, match="value of the best next table is inf"):
+            greedy_select(model)
 
     def test_free_useful_item_is_taken(self):
         subset, trace = greedy_select(m1())

@@ -14,6 +14,7 @@ from sact import (
     ObservationError,
     SituationActionTree,
     UnknownEvidenceError,
+    UtilityTable,
     build_tree,
     exact_ev_subset,
     export_tree,
@@ -130,6 +131,14 @@ class TestBuildTree:
         assert [s.evidence_id for s in trace.steps] == ["e1"]
         assert trace.steps[0].niv_before == pytest.approx(0.5, abs=1e-12)
         assert trace.steps[0].niv_after == pytest.approx(0.8, abs=1e-12)
+
+    def test_a_grown_tree_whose_niv_overflows_is_refused(self):
+        # The null tree is worth r * 0.5e300 = 1.5e308 and the split gains a finite
+        # r * 0.3e300, but their sum overflows.
+        model = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
+                   costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3e8))
+        with pytest.raises(DomainError, match="value of the grown tree is inf"):
+            build_tree(model)
 
     def test_zero_evidence_model_prescribes_prior_action(self):
         tree, _ = build_tree(make_model([]))
