@@ -140,6 +140,15 @@ class TestBuildTree:
         with pytest.raises(DomainError, match="value of the grown tree is inf"):
             build_tree(model)
 
+    def test_an_expansion_gain_that_is_nan_is_refused(self):
+        # The null tree is worth 0 - 1e308, but the split's gain is r * dev = inf
+        # less 2 * 1e308 = inf: NaN, which would otherwise read as no gain.
+        u = 1e300
+        model = make_model([(0.99, 0.01)], utilities=UtilityTable(u, -u, -u, u),
+                           costs=CostModel(0.0, 0.0, 0.0, 0.0, 1e308, 1.0, 1e9))
+        with pytest.raises(DomainError, match="gain of the best expansion is nan"):
+            build_tree(model)
+
     def test_zero_evidence_model_prescribes_prior_action(self):
         tree, _ = build_tree(make_model([]))
         assert tree.node_count == 1

@@ -261,7 +261,8 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("tree.lookahead_negative", ["tree", a, "--lookahead", "-1"], None),
         ("select.exhaustive_gaussian", ["select", b, "--exhaustive", "--method", "gaussian"],
          None),
-        # Values that JSON cannot hold: an infinite NIV and a NaN margin.
+        # A valid model whose NIVs overflow: the searches refuse it, and the
+        # exhaustive result (an infinite NIV) cannot be written as JSON.
         ("analyze.overflow", ["analyze", out("overflow.json")], None),
         ("select.exhaustive_overflow", ["select", out("overflow.json"), "--exhaustive"], None),
         ("select.overflow", ["select", out("overflow.json")], None),
