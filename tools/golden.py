@@ -13,7 +13,9 @@ Gaussian valuations of every prefix, greedy traces of both methods at
 lookahead 0, 1 and 2, exhaustive search (m <= 11), tables, trees (JSON, DOT,
 ``tree_ev``), loss curves, ``export_moments``, and the exit code, stdout,
 stderr and written file (or ``absent``) of each command on good and bad inputs
-and of every ``--help``.
+and of every ``--help``.  Last come the input readers' rulings on seeded
+random bad input: ``validate_model`` on models built in library calls and
+``profile_from_dict`` on JSON-like documents.
 
 Usage: python3 tools/golden.py > tests/golden.txt
 """
@@ -24,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import platform
 import random
@@ -41,6 +44,8 @@ import sact.cli  # noqa: E402
 from sact import (  # noqa: E402
     PRESETS,
     CostModel,
+    DiagnosisModel,
+    EvidenceVariable,
     SactError,
     UtilityTable,
     WeightProfile,
@@ -57,8 +62,10 @@ from sact import (  # noqa: E402
     model_digest,
     model_to_json,
     tree_ev,
+    validate_model,
     write_table,
 )
+from sact.profiles import profile_from_dict  # noqa: E402
 
 from helpers import design_model, identity_models, m1, random_model  # noqa: E402
 
@@ -176,6 +183,27 @@ def profile_lines() -> list[str]:
     return lines
 
 
+# A profile file for each refusal of the profile reader, as JSON text.
+BAD_PROFILES = {
+    "non_object": "[1, 2]",
+    "kind_unknown": '{"name": "p", "kind": "spline", "weights": [1]}',
+    "kind_list": '{"name": "p", "kind": [1], "weights": [1]}',
+    "keys_decay": '{"name": "p", "kind": "linear-decay", "weights": [1]}',
+    "keys_explicit": '{"name": "p", "kind": "explicit", "count": 3}',
+    "name": '{"name": 3, "kind": "explicit", "weights": [1]}',
+    "count_bool": '{"name": "p", "kind": "linear-decay", "intercept": 1, "slope": 0, '
+                  '"w_max": 1, "count": true}',
+    "count_float": '{"name": "p", "kind": "linear-decay", "intercept": 1, "slope": 0, '
+                   '"w_max": 1, "count": 2.5}',
+    "count_zero": '{"name": "p", "kind": "linear-decay", "intercept": 1, "slope": 0, '
+                  '"w_max": 1, "count": 0}',
+    "w_max_zero": '{"name": "p", "kind": "linear-decay", "intercept": 1, "slope": 0, '
+                  '"w_max": 0, "count": 3}',
+    "weights_object": '{"name": "p", "kind": "explicit", "weights": {"w": 1}}',
+    "weight_nan": '{"name": "p", "kind": "explicit", "weights": [1, NaN]}',
+}
+
+
 def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
     """(case, argv, file it may write) of each command, on good and bad inputs.
 
@@ -189,6 +217,15 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
     # Valid, but its utilities and lifetime factor overflow every NIV to inf.
     overflow = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
                   costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308))
+    # Breaks every rule validate checks that a JSON model can break.
+    every_rule = {
+        "p_h": 1,
+        "evidence": [{"id": "", "alpha": 0, "beta": 1}, {"id": "e", "alpha": 1, "beta": 0},
+                     {"id": "e", "alpha": 0.5, "beta": 0.5}],
+        "utilities": {"u_h_d": 0, "u_h_nd": 1, "u_nh_d": 1, "u_nh_nd": 0},
+        "costs": {"k1": -1, "k2": -0.5, "k3": -1e-300, "k4": -2, "k5": -1e300, "k6": -3, "r": 0},
+    }
+    unsolvable = m1(utilities=UtilityTable(1e308, 0.0, 0.0, 1e308))
     ids = [item.id for item in model.evidence]
     files = {
         "a.json": model_to_json(model),
@@ -202,6 +239,9 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         "obs_bad.json": json.dumps({ids[0]: 1}),
         "even.json": json.dumps({"name": "even", "kind": "explicit",
                                  "weights": [0.25 * (i + 1) for i in range(10)]}),
+        "every_rule.json": json.dumps(every_rule),
+        "unsolvable.json": model_to_json(unsolvable),
+        **{f"profile_{name}.json": text for name, text in BAD_PROFILES.items()},
     }
     for name, text in files.items():
         (work / name).write_text(text, encoding="utf-8")
@@ -269,6 +309,12 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("compile.overflow", ["compile", out("overflow.json"), "--out", out("overflow.sact")],
          "overflow.sact"),
         ("tree.overflow", ["tree", out("overflow.json")], None),
+        # Every violation at once, and a threshold that cannot be solved.
+        ("validate.every_rule", ["validate", out("every_rule.json")], None),
+        ("validate.unsolvable", ["validate", out("unsolvable.json")], None),
+        # Each refusal of the profile reader.
+        *[(f"proto.profile_{name}", ["proto", "--profile-file", out(f"profile_{name}.json")],
+           None) for name in BAD_PROFILES],
     ]
 
 
@@ -306,12 +352,69 @@ def cli_lines() -> list[str]:
     return lines
 
 
+# Values that break, or sit at the edge of, each numeric rule.
+EDGE_VALUES = [0.5, 0.25, 2.0, 0.0, 1.0, -1.0, -0.0, math.nan, math.inf, -math.inf, 1e-320, 1e308]
+
+
+def validation_lines() -> list[str]:
+    """``validate_model`` on seeded random models built in library calls.
+
+    Ids may be empty, ``None``, repeated, or hold format braces.
+    """
+    rng = random.Random(13)
+    ids = ["", None, "a", "b", "{x}", "{0}"]
+    value = lambda: rng.choice(EDGE_VALUES)  # noqa: E731
+    lines = []
+    for i in range(200):
+        evidence = tuple(EvidenceVariable(rng.choice(ids), value(), value())
+                         for _ in range(rng.randint(0, 4)))
+        model = DiagnosisModel(value(), evidence, UtilityTable(*(value() for _ in range(4))),
+                               CostModel(*(value() for _ in range(7))))
+        violations = [v.to_dict() for v in validate_model(model)]
+        lines.append(f"validate.random{i} {fingerprint(violations)}")
+    return lines
+
+
+def profile_document(rng: random.Random) -> object:
+    """A JSON-like profile document, often with something wrong in it."""
+    if rng.random() < 0.05:
+        return rng.choice([[1], None, "explicit", 3])
+    pick = lambda *options: rng.choice(options)  # noqa: E731
+
+    def number():
+        if rng.random() < 0.8:
+            return pick(1, 0, 3, 0.5, 2.5, 12)
+        return pick(-1, True, None, "1", 1e308, math.nan, math.inf, 10 ** 400, 70000, [1])
+
+    kind = pick(*["linear-decay", "explicit"] * 3, "spline", [1], None)
+    document = {"name": pick("p", "p", "p", "", "\\ud800", 3), "kind": kind}
+    if kind == "explicit" or rng.random() < 0.1:
+        document["weights"] = (
+            [number() for _ in range(rng.randint(0, 3))] if rng.random() < 0.9 else number()
+        )
+    if kind == "linear-decay" or rng.random() < 0.1:
+        document.update(intercept=number(), slope=number(), w_max=number(), count=number())
+    if rng.random() < 0.1:
+        del document[rng.choice(sorted(document))]
+    if rng.random() < 0.05:
+        document["extra"] = 1
+    return document
+
+
+def profile_reader_lines() -> list[str]:
+    """``profile_from_dict`` on seeded random documents: the profile, or the refusal."""
+    rng = random.Random(17)
+    return [f"profile_from_dict.random{i} "
+            f"{fingerprint(attempt(lambda: profile_from_dict(profile_document(rng))))}"
+            for i in range(200)]
+
+
 def manifest() -> list[str]:
     """Every line of the manifest, header first."""
     lines = [header()]
     for case, model in corpus():
         lines += model_lines(case, model)
-    return lines + profile_lines() + cli_lines()
+    return lines + profile_lines() + cli_lines() + validation_lines() + profile_reader_lines()
 
 
 if __name__ == "__main__":
