@@ -169,13 +169,8 @@ class Violation:
         return fields_dict(self)
 
 
-def _check_probability(value: float, field: str, code: str, out: list[Violation]) -> None:
-    # NaN fails the chained comparison, so it is reported like any other
-    # out-of-range value.
-    if not (0.0 < value < 1.0):
-        out.append(
-            Violation(code, field, f"{field} = {value!r} is outside the open interval (0, 1)")
-        )
+# The open-interval rule's message, shared by p_h, alpha and beta.
+_OUTSIDE_UNIT_INTERVAL = "{field} = {value!r} is outside the open interval (0, 1)"
 
 
 def validate_model(model: DiagnosisModel) -> list[Violation]:
@@ -185,48 +180,42 @@ def validate_model(model: DiagnosisModel) -> list[Violation]:
     machine-readable ``code`` and the offending ``field``.
     """
     out: list[Violation] = []
-    _check_probability(model.p_h, "p_h", "prior_out_of_range", out)
 
+    def report(holds, code: str, field: str, message: str, value=None, key=None):
+        """Record a violation of rule ``code`` unless ``holds``, and return ``holds``.
+
+        Only a violation is formatted: ``key`` into ``field``, then ``field``
+        and ``value`` into ``message``.  NaN fails every comparison, so a NaN
+        is reported like any other out-of-range value.
+        """
+        if not holds:
+            field = field.format(key)
+            out.append(Violation(code, field, message.format(field=field, value=value)))
+        return holds
+
+    prior = report(0.0 < model.p_h < 1.0, "prior_out_of_range", "p_h", _OUTSIDE_UNIT_INTERVAL,
+                   model.p_h)
     seen: set[str] = set()
     for i, item in enumerate(model.evidence):
-        if not item.id:
-            out.append(
-                Violation("empty_evidence_id", f"evidence[{i}].id", "evidence id must be nonempty")
-            )
-        elif item.id in seen:
-            out.append(
-                Violation(
-                    "duplicate_evidence_id",
-                    f"evidence[{i}].id",
-                    f"evidence id {item.id!r} appears more than once",
-                )
-            )
-        else:
+        # An empty id, or None from a library call, never enters the duplicate check.
+        if report(item.id, "empty_evidence_id", "evidence[{}].id", "evidence id must be nonempty",
+                  key=i):
+            report(item.id not in seen, "duplicate_evidence_id", "evidence[{}].id",
+                   "evidence id {value!r} appears more than once", item.id, i)
             seen.add(item.id)
-        _check_probability(item.alpha, f"evidence[{i}].alpha", "alpha_out_of_range", out)
-        _check_probability(item.beta, f"evidence[{i}].beta", "beta_out_of_range", out)
+        report(0.0 < item.alpha < 1.0, "alpha_out_of_range", "evidence[{}].alpha",
+               _OUTSIDE_UNIT_INTERVAL, item.alpha, i)
+        report(0.0 < item.beta < 1.0, "beta_out_of_range", "evidence[{}].beta",
+               _OUTSIDE_UNIT_INTERVAL, item.beta, i)
 
     u = model.utilities
-    if not (u.u_h_d > u.u_h_nd):
-        out.append(
-            Violation(
-                "degenerate_utility_ordering",
-                "utilities.u_h_d",
-                "acting must be strictly better than not acting when H is true",
-            )
-        )
-    if not (u.u_nh_nd > u.u_nh_d):
-        out.append(
-            Violation(
-                "degenerate_utility_ordering",
-                "utilities.u_nh_nd",
-                "not acting must be strictly better than acting when H is false",
-            )
-        )
-
+    acts = report(u.u_h_d > u.u_h_nd, "degenerate_utility_ordering", "utilities.u_h_d",
+                  "acting must be strictly better than not acting when H is true")
+    waits = report(u.u_nh_nd > u.u_nh_d, "degenerate_utility_ordering", "utilities.u_nh_nd",
+                   "not acting must be strictly better than acting when H is false")
     # The threshold is solved only when its inputs passed the checks above,
     # so each fault is reported once.
-    if not any(v.code in ("prior_out_of_range", "degenerate_utility_ordering") for v in out):
+    if prior and acts and waits:
         try:
             threshold(u, model.p_h)
         except DomainError as exc:
@@ -235,14 +224,9 @@ def validate_model(model: DiagnosisModel) -> list[Violation]:
     c = model.costs
     for name in ("k1", "k2", "k3", "k4", "k5", "k6"):
         value = getattr(c, name)
-        if not (value >= 0.0):
-            out.append(
-                Violation("negative_cost", f"costs.{name}", f"costs.{name} = {value!r} must be >= 0")
-            )
-    if not (c.r > 0.0):
-        out.append(
-            Violation("nonpositive_rate", "costs.r", f"costs.r = {c.r!r} must be > 0")
-        )
+        report(value >= 0.0, "negative_cost", "costs.{}", "{field} = {value!r} must be >= 0",
+               value, name)
+    report(c.r > 0.0, "nonpositive_rate", "costs.r", "{field} = {value!r} must be > 0", c.r)
     return out
 
 

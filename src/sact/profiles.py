@@ -113,35 +113,32 @@ PRESETS: dict[str, WeightProfile] = {
 }
 
 
+# The keys of each profile kind's JSON object, besides name and kind.
+_PROFILE_KEYS = {"linear-decay": ("intercept", "slope", "w_max", "count"), "explicit": ("weights",)}
+
+
 def profile_from_dict(data: object) -> WeightProfile:
     """Load a profile from its JSON object form: {name, kind, params...}."""
     if not isinstance(data, dict):
         raise FormatError("profile: expected an object")
     kind = data.get("kind")
-    if kind == "linear-decay":
-        expected = {"name", "kind", "intercept", "slope", "w_max", "count"}
-        if set(data) != expected:
-            raise FormatError(f"linear-decay profile keys must be exactly {sorted(expected)}")
-        name = utf8_string(data["name"], "profile.name")
-        if isinstance(data["count"], bool) or not isinstance(data["count"], int):
-            raise FormatError("profile.count: expected an integer")
-        numbers = {
-            key: finite_number(data[key], f"profile.{key}")
-            for key in ("intercept", "slope", "w_max")
-        }
-        return WeightProfile.linear_decay(name, count=data["count"], **numbers)
+    # Compared with ==, not looked up: a JSON kind may be an unhashable list.
+    if kind not in ("linear-decay", "explicit"):
+        raise FormatError(f"profile.kind must be 'linear-decay' or 'explicit', got {kind!r}")
+    expected = {"name", "kind", *_PROFILE_KEYS[kind]}
+    if set(data) != expected:
+        raise FormatError(f"{kind} profile keys must be exactly {sorted(expected)}")
+    name = utf8_string(data["name"], "profile.name")
     if kind == "explicit":
-        expected = {"name", "kind", "weights"}
-        if set(data) != expected:
-            raise FormatError(f"explicit profile keys must be exactly {sorted(expected)}")
-        name = utf8_string(data["name"], "profile.name")
         if not isinstance(data["weights"], list):
             raise FormatError("profile.weights: expected an array")
-        weights = [
-            finite_number(value, f"profile.weights[{i}]") for i, value in enumerate(data["weights"])
-        ]
+        weights = [finite_number(w, f"profile.weights[{i}]") for i, w in enumerate(data["weights"])]
         return WeightProfile.explicit(name, weights)
-    raise FormatError(f"profile.kind must be 'linear-decay' or 'explicit', got {kind!r}")
+    if isinstance(data["count"], bool) or not isinstance(data["count"], int):
+        raise FormatError("profile.count: expected an integer")
+    numbers = {key: finite_number(data[key], f"profile.{key}")
+               for key in ("intercept", "slope", "w_max")}
+    return WeightProfile.linear_decay(name, count=data["count"], **numbers)
 
 
 def realize_profile(profile: WeightProfile) -> list[EvidenceVariable]:
