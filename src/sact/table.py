@@ -249,7 +249,8 @@ def exhaustive_subset_search(
     item, valued on the parent's arrays.  Each depth's prefix is reserved
     once and written from its parent's.  The winner is the maximum of a
     total order on (NIV, then smaller (size, ids)), so it does not depend on
-    the walk order.
+    the walk order.  A winning NIV that is not finite is refused with
+    :class:`DomainError`, as greedy selection refuses it.
     """
     ids = [item.id for item in model.evidence]
     if len(ids) > cap:
@@ -287,7 +288,8 @@ def exhaustive_subset_search(
     prefixes = [exact.empty_prefix(depth) for depth in range(len(items))]
     visit((), 0)
     assert best is not None
-    _, subset, ev = best
+    value, subset, ev = best
+    finite(value, "the net inferential value of the best table")
     return subset, niv(model, TablePolicy(subset), ev, method="exact")
 
 

@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from sact import CompiledTable, model_digest, model_from_json, threshold, write_table
+from sact import (
+    CompiledTable,
+    DomainError,
+    model_digest,
+    model_from_json,
+    threshold,
+    write_table,
+)
 from sact import cli
 from sact.cli import build_parser, main
 from sact.exact import DEFAULT_ENUMERATION_CAP
@@ -68,9 +75,7 @@ def write_overflow_model(workspace):
 # analyze refuses in greedy selection, before its NaN margin reaches the JSON.
 @pytest.mark.parametrize("command,message", [
     (("analyze",), b"invalid input: the net inferential value of the empty table is inf"),
-    (("select", "--exhaustive"),
-     b"invalid input: the result cannot be written as JSON: Out of range float values"),
-], ids=["analyze", "select-exhaustive"])
+], ids=["analyze"])
 def test_result_json_cannot_hold_exits_one_and_writes_nothing(workspace, command, message):
     write_overflow_model(workspace)
     for out in ((), ("--out", "result.json")):
@@ -82,11 +87,13 @@ def test_result_json_cannot_hold_exits_one_and_writes_nothing(workspace, command
 
 
 @pytest.mark.parametrize("command,refused", [
-    ("select", b"the empty table"), ("compile", b"the empty table"), ("tree", b"the null tree"),
-], ids=["select", "compile", "tree"])
+    (("select",), b"the empty table"), (("select", "--exhaustive"), b"the best table"),
+    (("compile",), b"the empty table"), (("tree",), b"the null tree"),
+], ids=["select", "select-exhaustive", "compile", "tree"])
 def test_searches_refuse_an_overflowing_niv(workspace, command, refused):
     write_overflow_model(workspace)
-    result = run_sact(command, "overflow.json", "--out", "result", cwd=workspace)
+    result = run_sact(command[0], "overflow.json", *command[1:], "--out", "result",
+                      cwd=workspace)
     assert result.returncode == 1
     assert result.stdout == b""
     assert result.stderr == (
@@ -94,6 +101,20 @@ def test_searches_refuse_an_overflowing_niv(workspace, command, refused):
         b"number: the model's utilities, costs or r overflow a float\n"
     )
     assert not (workspace / "result").exists()
+
+
+def test_emit_json_refuses_a_value_json_cannot_hold(tmp_path, capsys):
+    # No command reaches this refusal today; it keeps an infinity or a NaN
+    # out of every JSON output.
+    for out in (None, str(tmp_path / "result.json")):
+        with pytest.raises(DomainError) as excinfo:
+            cli._emit_json({"niv": math.inf}, out)
+        assert str(excinfo.value).startswith(
+            "the result cannot be written as JSON: Out of range float values are not JSON "
+            "compliant"
+        )
+        assert capsys.readouterr().out == ""
+    assert not (tmp_path / "result.json").exists()
 
 
 def test_non_finite_number_exits_two(workspace):
@@ -559,3 +580,99 @@ def test_compiled_artifacts_are_byte_deterministic(workspace):
     run_sact("compile", "m1.json", "--subset", "e1", "--out", "a.sact", cwd=workspace)
     run_sact("compile", "m1.json", "--subset", "e1", "--out", "b.sact", cwd=workspace)
     assert (workspace / "a.sact").read_bytes() == (workspace / "b.sact").read_bytes()
+
+
+def run_main(argv, capsys):
+    """Exit code, stdout and stderr of one command run in this process."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_analyze_prefers_a_tree_that_outvalues_the_table(workspace, capsys):
+    # A table lookup costs k3 and k4 per item and k5 per cell; a tree lookup
+    # costs nothing and each of its nodes k5 * k6.
+    model = json.loads(json.dumps(M1))
+    model["costs"] = {"k1": 0, "k2": 0, "k3": 0.1, "k4": 0.1, "k5": 1e-3, "k6": 1e-3, "r": 1}
+    (workspace / "tree_wins.json").write_text(json.dumps(model))
+    code, out, _ = run_main(["analyze", str(workspace / "tree_wins.json")], capsys)
+    assert code == 0
+    document = json.loads(out)
+    assert document["best_compile"] == "tree"
+    assert document["compile_tree"]["niv"] > document["compile_table"]["niv"]
+    margin = document["compute"]["niv"] - document["compile_tree"]["niv"]
+    assert document["margin"].hex() == margin.hex()
+
+
+DECAY = '{"name": "p", "kind": "linear-decay", "intercept": 1, '
+
+
+@pytest.mark.parametrize("text,code,message", [
+    (DECAY + '"slope": 0, "w_max": 1, "count": 2.5}', 2,
+     "error: profile.count: expected an integer\n"),
+    ('{"name": "p", "kind": "explicit", "weights": {"w": 1}}', 2,
+     "error: profile.weights: expected an array\n"),
+    (DECAY + '"slope": 0, "w_max": 1, "count": 0}', 1,
+     "invalid input: linear-decay profile needs count >= 1\n"),
+    (DECAY + '"slope": 0, "w_max": 0, "count": 3}', 1,
+     "invalid input: linear-decay profile needs w_max > 0, intercept >= 0, slope >= 0\n"),
+    (DECAY + '"slope": -0.5, "w_max": 1, "count": 3}', 1,
+     "invalid input: linear-decay profile needs w_max > 0, intercept >= 0, slope >= 0\n"),
+], ids=["count-float", "weights-object", "count-zero", "w-max-zero", "slope-negative"])
+def test_proto_refuses_a_bad_profile_file(workspace, capsys, text, code, message):
+    (workspace / "profile.json").write_text(text)
+    argv = ["proto", "--profile-file", str(workspace / "profile.json")]
+    assert run_main(argv, capsys) == (code, "", message)
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    (["--utilities", "1,0,x,1"], 2, "error: --utilities could not parse '1,0,x,1'\n"),
+    # threshold's own wording, not validate's open-interval message.
+    (["--p-h", "1.5"], 1, "invalid input: p_h = 1.5 must lie strictly inside (0, 1)\n"),
+], ids=["utilities", "p-h"])
+def test_proto_refuses_bad_decision_inputs(capsys, argv, code, message):
+    assert run_main(["proto", *argv], capsys) == (code, "", message)
+
+
+def test_lookup_refuses_an_observation_that_is_not_an_object(workspace, capsys):
+    (workspace / "obs.json").write_text("[true]")
+    argv = ["lookup", str(workspace / "m1.json"), "--tree", str(workspace / "none.json"),
+            "--obs", str(workspace / "obs.json")]
+    assert run_main(argv, capsys) == (
+        2, "", "error: observation must be a JSON object of booleans\n"
+    )
+
+
+def tree_document(**changes):
+    """A one-leaf tree document of M1, with ``changes`` applied."""
+    digest = model_digest(model_from_json(json.dumps(M1))).hex()
+    return {"format": "sact-tree", "version": 1, "model_digest": digest, "node_count": 1,
+            "root": {"action": "D"}, **changes}
+
+
+@pytest.mark.parametrize("document,message", [
+    ([tree_document()], "tree document must be an object"),
+    (tree_document(extra=1), "tree document keys must be exactly "
+     "['format', 'model_digest', 'node_count', 'root', 'version']"),
+    (tree_document(model_digest="00" * 31), "model_digest must encode exactly 32 bytes"),
+    (tree_document(root=1), "root: expected an object"),
+    (tree_document(root={"action": "X"}), "root: unknown action 'X'"),
+    (tree_document(node_count=3, root={"test": 1, "if_true": {"action": "D"},
+                                       "if_false": {"action": "notD"}}),
+     "root.test: expected a string"),
+], ids=["not-object", "keys", "digest-length", "node-not-object", "action", "test-not-string"])
+def test_lookup_refuses_a_malformed_tree(workspace, capsys, document, message):
+    (workspace / "tree.json").write_text(json.dumps(document))
+    (workspace / "obs.json").write_text(json.dumps({"e1": True}))
+    argv = ["lookup", str(workspace / "m1.json"), "--tree", str(workspace / "tree.json"),
+            "--obs", str(workspace / "obs.json")]
+    assert run_main(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+def test_lookup_reads_the_unmodified_tree_document(workspace, capsys):
+    (workspace / "tree.json").write_text(json.dumps(tree_document()))
+    (workspace / "obs.json").write_text(json.dumps({}))
+    argv = ["lookup", str(workspace / "m1.json"), "--tree", str(workspace / "tree.json"),
+            "--obs", str(workspace / "obs.json")]
+    code, out, _ = run_main(argv, capsys)
+    assert (code, json.loads(out)) == (0, {"action": "D", "consulted": []})

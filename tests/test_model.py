@@ -271,6 +271,16 @@ class TestValidateModel:
         model = make_model([(0.8, 0.2)], ids=[""])
         assert any(v.code == "empty_evidence_id" for v in validate_model(model))
 
+    def test_ids_none_empty_and_braced(self):
+        # None, as a library call may pass, is empty too; empty ids are not
+        # duplicates of each other; braces in an id are printed as they are.
+        model = make_model([(0.8, 0.2)] * 5, ids=[None, "", "", "{x}", "{x}"])
+        assert [v.to_dict() for v in validate_model(model)] == [
+            {"code": "empty_evidence_id", "field": f"evidence[{i}].id",
+             "message": "evidence id must be nonempty"} for i in range(3)
+        ] + [{"code": "duplicate_evidence_id", "field": "evidence[4].id",
+              "message": "evidence id '{x}' appears more than once"}]
+
     def test_prior_and_costs_checked(self):
         bad = make_model([(0.8, 0.2)], p_h=1.0)
         assert any(v.code == "prior_out_of_range" for v in validate_model(bad))

@@ -277,6 +277,13 @@ class TestExport:
     def test_empty_export_rejected(self):
         with pytest.raises(DomainError):
             export_analysis([])
+        with pytest.raises(DomainError, match=r"^no profiles to export$"):
+            export_moments([])
+
+    def test_unknown_normalization_rejected(self):
+        profile = WeightProfile.explicit("unit", [math.log(4.0)])
+        with pytest.raises(DomainError, match=r"^unknown normalization 'bogus'$"):
+            loss_curve(profile, 0.5, SYMMETRIC_UTILITIES, normalization="bogus")
 
     def test_moments_companion_layout(self):
         text = export_moments([PRESETS["high"]])
@@ -316,6 +323,13 @@ class TestProfileFromDict:
             profile_from_dict({"name": "x", "kind": "explicit", "weights": [True]})
         with pytest.raises(FormatError):
             profile_from_dict([1, 2])
+
+    def test_a_kind_that_is_a_list_is_named_not_looked_up(self):
+        with pytest.raises(FormatError) as excinfo:
+            profile_from_dict({"name": "x", "kind": [1], "weights": [1.0]})
+        assert str(excinfo.value) == (
+            "profile.kind must be 'linear-decay' or 'explicit', got [1]"
+        )
 
     def test_integer_too_large_for_a_float_rejected(self):
         huge = 10**400

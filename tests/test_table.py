@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 
@@ -138,6 +139,19 @@ class TestGreedySelect:
         assert len(trace.steps) == 1  # the abandoned exploration remains visible
 
 
+class TestExhaustiveSearch:
+    def test_a_best_table_whose_niv_overflows_is_refused(self):
+        # Every subset is worth inf, so the smallest, (), would win unchecked.
+        model = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
+                   costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308))
+        with pytest.raises(DomainError) as excinfo:
+            exhaustive_subset_search(model)
+        assert str(excinfo.value) == (
+            "the net inferential value of the best table is inf, not a finite number: "
+            "the model's utilities, costs or r overflow a float"
+        )
+
+
 class TestCompileTable:
     def test_single_item_table(self):
         table = compile_table(m1(), ["e1"])
@@ -267,6 +281,21 @@ class TestSerialization:
         assert len(blob) == 48
         assert blob[:7] == b"SACT\x01\x00\x00"
         assert blob[47] & 1 == 1  # the single entry acts
+
+    @pytest.mark.parametrize("change,message", [
+        ({"model_digest": bytes(31)}, "model digest must be exactly 32 bytes"),
+        ({"subset": ("x" * 0x10000,)}, "evidence id too long to serialize: 'xxx"),
+        ({"action_bits": b"\x00\x00"}, "action bit array has 2 bytes, expected 1"),
+    ], ids=["digest", "long-id", "bits"])
+    def test_writer_refuses_a_table_it_cannot_frame(self, change, message):
+        table = dataclasses.replace(compile_table(m1(), ["e1"]), **change)
+        with pytest.raises(FormatError) as excinfo:
+            write_table(table)
+        assert str(excinfo.value).startswith(message)
+
+    def test_an_id_of_the_largest_length_is_written(self):
+        table = dataclasses.replace(compile_table(m1(), ["e1"]), subset=("x" * 0xFFFF,))
+        assert read_table(write_table(table)) == table
 
     def test_reader_survives_random_corruption(self):
         rng = random.Random(181)

@@ -301,8 +301,7 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("tree.lookahead_negative", ["tree", a, "--lookahead", "-1"], None),
         ("select.exhaustive_gaussian", ["select", b, "--exhaustive", "--method", "gaussian"],
          None),
-        # A valid model whose NIVs overflow: the searches refuse it, and the
-        # exhaustive result (an infinite NIV) cannot be written as JSON.
+        # A valid model whose NIVs overflow: every search refuses it.
         ("analyze.overflow", ["analyze", out("overflow.json")], None),
         ("select.exhaustive_overflow", ["select", out("overflow.json"), "--exhaustive"], None),
         ("select.overflow", ["select", out("overflow.json")], None),
