@@ -132,12 +132,16 @@ def profile_from_dict(data: object) -> WeightProfile:
     if kind == "explicit":
         if not isinstance(data["weights"], list):
             raise FormatError("profile.weights: expected an array")
-        weights = [finite_number(w, f"profile.weights[{i}]") for i, w in enumerate(data["weights"])]
+        weights = [
+            finite_number(value, f"profile.weights[{i}]") for i, value in enumerate(data["weights"])
+        ]
         return WeightProfile.explicit(name, weights)
     if isinstance(data["count"], bool) or not isinstance(data["count"], int):
         raise FormatError("profile.count: expected an integer")
-    numbers = {key: finite_number(data[key], f"profile.{key}")
-               for key in ("intercept", "slope", "w_max")}
+    numbers = {
+        key: finite_number(data[key], f"profile.{key}")
+        for key in ("intercept", "slope", "w_max")
+    }
     return WeightProfile.linear_decay(name, count=data["count"], **numbers)
 
 
