@@ -104,8 +104,9 @@ def test_searches_refuse_an_overflowing_niv(workspace, command, refused):
 
 
 def test_emit_json_refuses_a_value_json_cannot_hold(tmp_path, capsys):
-    # No command reaches this refusal today; it keeps an infinity or a NaN
-    # out of every JSON output.
+    # No command reaches this refusal, because every search refuses a NIV
+    # that is not finite first; it keeps an infinity or a NaN out of every
+    # JSON output.
     for out in (None, str(tmp_path / "result.json")):
         with pytest.raises(DomainError) as excinfo:
             cli._emit_json({"niv": math.inf}, out)
