@@ -10,10 +10,10 @@ The corpus is built by ``tests/helpers.py``: ``m1``, ``identity_models(211)``
 (which hold the ``tie_models``), seeded random models and benchmark-style
 models.  The quantities: ``model_digest`` and the model's JSON, exact and
 Gaussian valuations of every prefix, greedy traces of both methods at
-lookahead 0, 1 and 2, exhaustive search (m <= 11), tables, trees (JSON, DOT,
-``tree_ev``), loss curves, ``export_moments``, and the exit code, stdout,
-stderr and written file (or ``absent``) of each command on good and bad inputs
-and of every ``--help``.  Last come the input readers' rulings on seeded
+lookahead 0, 1 and 2, exhaustive search (m <= 11 and the ``search`` cases,
+up to m = 13), tables, trees (JSON, DOT, ``tree_ev``), loss curves,
+``export_moments``, and the exit code, stdout, stderr and written file (or
+``absent``) of each command on good and bad inputs and of every ``--help``.  Last come the input readers' rulings on seeded
 random bad input: ``validate_model`` on models built in library calls and
 ``profile_from_dict`` on JSON-like documents.
 
@@ -121,7 +121,7 @@ def corpus() -> list[tuple[str, object]]:
     cases += [
         (f"search{m}", design_model(rng, m, alpha=(0.05, 0.95), beta=(0.05, 0.95),
                                     k5=10 ** rng.uniform(-4, -3), k6=1.0))
-        for m in (10, 11)
+        for m in (10, 11, 13)
     ]
     return cases
 
@@ -144,7 +144,7 @@ def model_lines(case: str, model) -> list[str]:
     subset, _ = greedy_select(model)
     lines.append(f"{case} table {fingerprint(write_table(compile_table(model, subset)))}")
     lines.append(f"{case} table.all {fingerprint(write_table(compile_table(model, ids)))}")
-    if len(ids) <= 11:
+    if len(ids) <= 11 or case.startswith("search"):
         lines.append(f"{case} exhaustive {fingerprint(exhaustive_subset_search(model))}")
     for lookahead in (0, 1):
         tree, trace = build_tree(model, lookahead=lookahead)
