@@ -17,21 +17,24 @@ building that item's arrays.  Both read the item's two branches, (P(E | H),
 P(E | not-H), weight) for E true and for E false, from its record, computed
 once, on first read (:attr:`~sact.model.EvidenceVariable.record`).
 :mod:`sact.table` values every subset through this kernel, extending one
-prefix.  Every weight sum is still accumulated left to right over the
-subset, so all results are bit-identical to enumerating each subset from
-scratch.
+prefix; exhaustive search also values each small subtree of subsets level
+by level, all subsets of one size at once (:func:`subtree_probabilities`).
+Every weight sum is still accumulated left to right over the subset, so all
+results are bit-identical to enumerating each subset from scratch.
 
 Peak memory (tracemalloc, n = 18, in float64 arrays of 2^18 entries):
 :func:`weight_sums` 1.0 and the table compiler 1.14, where building each
 step's arrays anew took 2.5.  Valuing a subset of n items holds the three
 arrays of its first n - 1 items plus the last item's gather, 2.4 to 3.1 of
-those arrays.  The pages of a buffer that a run never reaches are never
-touched, so they do not count toward resident memory.
+those arrays.  A subtree valued level by level holds at most
+:data:`SUBTREE_BYTES` per entry (20 to 50 measured).  The pages of a buffer
+that a run never reaches are never touched, so they do not count toward
+resident memory.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +47,11 @@ DEFAULT_ENUMERATION_CAP = 25
 # default caps is 384 MiB: three buffers of 2^24 float64 entries, for greedy
 # selection or a 25-item valuation.
 MEMORY_BUDGET = 1 << 30
+
+# The most entries a search subtree may hold to be valued level by level
+# (:func:`subtree_fits`), and the most bytes that valuation holds per entry.
+SUBTREE_ENTRIES = 1 << 14
+SUBTREE_BYTES = 64
 
 
 def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[EvidenceVariable]:
@@ -69,6 +77,16 @@ def check_enumeration_cap(n: int, cap: int) -> None:
         )
 
 
+def check_reservation(size: int, arrays: int = 3) -> None:
+    """Refuse a prefix of ``size`` items in ``arrays`` buffers above :data:`MEMORY_BUDGET`."""
+    reserved = arrays * 8 << size
+    if reserved > MEMORY_BUDGET:
+        raise CapExceededError(
+            f"a prefix of {size} items would reserve {reserved} bytes, above the "
+            f"memory budget of {MEMORY_BUDGET} bytes"
+        )
+
+
 class Prefix:
     """The assignments of a subset's leading items, in buffers reserved once.
 
@@ -81,12 +99,7 @@ class Prefix:
     __slots__ = ("buffers", "arrays")
 
     def __init__(self, size: int, firsts: Sequence[float]) -> None:
-        reserved = len(firsts) * 8 << size
-        if reserved > MEMORY_BUDGET:
-            raise CapExceededError(
-                f"a prefix of {size} items would reserve {reserved} bytes, above the "
-                f"memory budget of {MEMORY_BUDGET} bytes"
-            )
+        check_reservation(size, len(firsts))
         # np.empty, not zeros: a page the prefix never reaches is never touched.
         self.buffers = [np.empty(1 << size) for _ in firsts]
         for buffer, first in zip(self.buffers, firsts):
@@ -146,6 +159,65 @@ def act_probabilities(
         return float(acting.sum())
 
     return acting_mass(p_given_h, a0, a1), acting_mass(p_given_nh, b0, b1)
+
+
+def subtree_fits(size: int, items: int) -> bool:
+    """Whether :func:`subtree_probabilities` values the extensions of a
+    prefix of ``size`` items by any of ``items`` more.
+
+    The subtree holds 2^size * 3^items entries in all, 2^n for each subset of
+    n items; at most :data:`SUBTREE_ENTRIES` of them, and their bytes within
+    the memory budget.
+    """
+    entries = 3**items << size
+    return entries <= SUBTREE_ENTRIES and entries * SUBTREE_BYTES <= MEMORY_BUDGET
+
+
+def subtree_probabilities(
+    prefix: Prefix, parent: tuple[str, ...], items: Sequence[EvidenceVariable], w_star: float
+) -> Iterator[tuple[tuple[str, ...], tuple[float, float]]]:
+    """P(act | H) and P(act | not-H) of each subset that extends ``parent``,
+    the subset ``prefix`` holds, by some of ``items``.
+
+    Yields ``(subset, (p_act_h, p_act_nh))``, the subset's ids in model order,
+    one level of subset size at a time.  Each level's arrays are built from
+    the level above in one broadcast add of the weights and one multiply of
+    the probabilities, the false half first, as :func:`extend` writes them.
+    The acting probabilities of the whole level are then gathered into one
+    array per hypothesis, subset after subset, and each subset's slice is
+    summed on its own: the same values in the same order as
+    :func:`act_probabilities` sums, each in a contiguous array, so numpy's
+    pairwise sum rounds them the same way.
+    """
+    # Per item and branch, false first: (P(E | H), P(E | not-H), weight).
+    branches = np.array([item.record.branches for item in items]).reshape(-1, 2, 3)[:, ::-1]
+    weights = branches[:, :, 2]
+    factors = branches[:, :, :2].transpose(2, 0, 1)
+    added_ids = [(item.id,) for item in items]
+    reduce = np.add.reduce
+    # One row per subset of the level: level_w[row] and level_p[hypothesis, row].
+    level_w = prefix.arrays[0][None]
+    level_p = np.stack(prefix.arrays[1:])[:, None]
+    # Each row's subset, and the index in items of its last added item.
+    subsets, lasts = [parent], [-1]
+    while True:
+        pairs = [(r, j) for r, last in enumerate(lasts) for j in range(last + 1, len(items))]
+        if not pairs:
+            return
+        parents = [r for r, _ in pairs]
+        lasts = [j for _, j in pairs]
+        subsets = [subsets[r] + added_ids[j] for r, j in pairs]
+        level_w = np.add(level_w[parents][:, None], weights[lasts][:, :, None])
+        level_w = level_w.reshape(len(pairs), -1)
+        level_p = np.multiply(level_p[:, parents][:, :, None], factors[:, lasts][..., None])
+        level_p = level_p.reshape(2, len(pairs), -1)
+        acting = level_w >= w_star
+        counts = np.count_nonzero(acting, axis=1).tolist()
+        acting_h, acting_nh = level_p[:, acting]
+        end = 0
+        for subset, count in zip(subsets, counts):
+            start, end = end, end + count
+            yield subset, (float(reduce(acting_h[start:end])), float(reduce(acting_nh[start:end])))
 
 
 def weight_sums(model: DiagnosisModel, subset: Sequence[str]) -> np.ndarray:

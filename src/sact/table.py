@@ -5,7 +5,10 @@ P(act | H) and P(act | not-H) through the chosen method's prefix kernel
 (:mod:`sact.exact` or :mod:`sact.gaussian`), and callers compose the
 expected value with :func:`~sact.exact.compose_ev`.  The exact and Gaussian
 valuations of one subset, greedy selection and loss curves all go through
-it; exhaustive search walks its own tree of prefixes, because it branches.
+it; exhaustive search walks its own tree of prefixes, because it branches,
+and values each small subtree of it level by level
+(:func:`~sact.exact.subtree_probabilities`), holding at most one such
+subtree's arrays and one prefix per depth.
 Greedy selection records the probabilities of each step it accepts on the
 model (``DiagnosisModel.valuation_record``), and the ``*_ev_subset``
 valuations read a recorded subset instead of valuing it again: the same
@@ -41,7 +44,14 @@ from .exact import (
     resolve_subset,
     weight_sums,
 )
-from .model import Action, DiagnosisModel, Observation, model_digest, threshold
+from .model import (
+    Action,
+    DiagnosisModel,
+    EvidenceVariable,
+    Observation,
+    model_digest,
+    threshold,
+)
 from .niv import Method, NivReport, TablePolicy, finite, niv, outranks, table_niv
 
 DEFAULT_TABLE_CAP = 25
@@ -245,12 +255,20 @@ def exhaustive_subset_search(
     Ties are broken toward the smaller subset, then lexicographically by the
     id tuple.  Candidate subsets keep the model's evidence order.
 
-    Subsets are walked depth first: each child is its parent plus one later
-    item, valued on the parent's arrays.  Each depth's prefix is reserved
-    once and written from its parent's.  The winner is the maximum of a
-    total order on (NIV, then smaller (size, ids)), so it does not depend on
-    the walk order.  A winning NIV that is not finite is refused with
-    :class:`DomainError`, as greedy selection refuses it.
+    Each subset extends its parent by one later item and is valued on the
+    parent's arrays.  A subtree small enough for
+    :func:`~sact.exact.subtree_fits` is valued level by level by
+    :func:`~sact.exact.subtree_probabilities`, a few numpy calls per level;
+    larger ones are walked depth first, children last first.  The walk
+    reserves each depth's prefix when it first reaches that depth and
+    writes it from its parent's, so the deep prefixes of the first items,
+    reached last, never coexist with a level-by-level subtree.  The winner is
+    the maximum of a total order on (NIV, then smaller (size, ids)), so it
+    does not depend on the walk order.  A model whose walk would exceed the
+    memory budget or ``eval_cap`` is refused before any subset is valued,
+    with the message of the first prefix or subset too large.  A winning
+    NIV that is not finite is refused with :class:`DomainError`, as greedy
+    selection refuses it.
     """
     ids = [item.id for item in model.evidence]
     if len(ids) > cap:
@@ -259,38 +277,60 @@ def exhaustive_subset_search(
         )
     # Rejects a model that repeats an id, as valuing a subset of it would.
     items = resolve_subset(model, ids)
-    best: tuple[float, tuple[str, ...], float] | None = None  # (niv, subset, ev)
+    ev = exact_ev_subset(model, (), cap=eval_cap).ev
+    best = (table_niv(model, (), ev), (), ev)  # (niv, subset, ev)
 
-    def consider(subset: tuple[str, ...], ev: float) -> None:
+    def consider(subset: tuple[str, ...], p_act: tuple[float, float]) -> None:
         nonlocal best
+        ev = compose_ev(model, *p_act)
         value = table_niv(model, subset, ev)
-        if (
-            best is None
-            or value > best[0]
-            or (value == best[0] and (len(subset), subset) < (len(best[1]), best[1]))
+        if value > best[0] or (
+            value == best[0] and (len(subset), subset) < (len(best[1]), best[1])
         ):
             best = (value, subset, ev)
 
-    def visit(parent: tuple[str, ...], start: int) -> None:
-        depth = len(parent)
-        for j in range(start, len(items)):
-            subset = parent + (items[j].id,)
-            check_enumeration_cap(len(subset), eval_cap)
-            p_act = exact.act_probabilities(prefixes[depth], items[j], w_star)
-            consider(subset, compose_ev(model, *p_act))
-            if j + 1 < len(items):
-                exact.extend(prefixes[depth], items[j], out=prefixes[depth + 1])
-                visit(subset, j + 1)
-
-    consider((), exact_ev_subset(model, (), cap=eval_cap).ev)
+    # Refused before any subset is valued, with the first refusal a walk
+    # would meet: the prefix of each depth that can have a child (a subset of
+    # all m items has none), then the first subset over the enumeration cap.
+    for depth in range(len(items)):
+        exact.check_reservation(depth)
+    check_enumeration_cap(min(len(items), eval_cap + 1), eval_cap)
     w_star = threshold(model.utilities, model.p_h).w_star
-    # The prefix of each depth that has a child: a subset of all m items has none.
-    prefixes = [exact.empty_prefix(depth) for depth in range(len(items))]
-    visit((), 0)
-    assert best is not None
+    _walk(items, [exact.empty_prefix(0)], w_star, (), 0, consider)
     value, subset, ev = best
     finite(value, "the net inferential value of the best table")
     return subset, niv(model, TablePolicy(subset), ev, method="exact")
+
+
+def _walk(
+    items: Sequence[EvidenceVariable],
+    prefixes: list[exact.Prefix],
+    w_star: float,
+    parent: tuple[str, ...],
+    start: int,
+    consider: Callable[[tuple[str, ...], tuple[float, float]], None],
+) -> None:
+    """Pass ``consider`` each subset that extends ``parent`` by items from
+    ``start`` on, with its (P(act | H), P(act | not-H)).
+
+    ``prefixes[len(parent)]`` holds the parent's arrays; deeper prefixes are
+    appended to ``prefixes`` when first needed.
+    """
+    depth = len(parent)
+    if exact.subtree_fits(depth, len(items) - start):
+        for subset, p_act in exact.subtree_probabilities(
+            prefixes[depth], parent, items[start:], w_star
+        ):
+            consider(subset, p_act)
+        return
+    for j in reversed(range(start, len(items))):
+        subset = parent + (items[j].id,)
+        consider(subset, exact.act_probabilities(prefixes[depth], items[j], w_star))
+        if j + 1 < len(items):
+            if len(prefixes) == depth + 1:
+                prefixes.append(exact.empty_prefix(depth + 1))
+            exact.extend(prefixes[depth], items[j], out=prefixes[depth + 1])
+            _walk(items, prefixes, w_star, subset, j + 1, consider)
 
 
 def greedy_select(

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 
@@ -19,7 +20,13 @@ from sact import (
 )
 
 import sact.exact
-from sact.exact import act_probabilities, empty_prefix, extend, weight_sums
+from sact.exact import (
+    act_probabilities,
+    empty_prefix,
+    extend,
+    subtree_probabilities,
+    weight_sums,
+)
 from sact.table import DEFAULT_TABLE_CAP
 
 from helpers import (
@@ -221,6 +228,43 @@ class TestPrefixKernelBitIdentity:
             assert exhaustive_subset_search(model) == best
 
 
+class TestExhaustiveLevels:
+    """Exhaustive search walks large subtrees and values small ones level by
+    level, below ``sact.exact.SUBTREE_ENTRIES``: every split between the two
+    gives the same subset and the same floats."""
+
+    @staticmethod
+    def models():
+        rng = random.Random(233)
+        return identity_models(239) + [random_model(rng, m) for m in range(11)]
+
+    @pytest.mark.parametrize("entries", [64, sact.exact.SUBTREE_ENTRIES, 1 << 30])
+    def test_levels_equal_the_walk(self, entries, monkeypatch):
+        def searched():
+            out = []
+            for model in self.models():
+                subset, report = exhaustive_subset_search(model)
+                out.append((subset, report.ev.hex(), report.niv.hex()))
+            return out
+
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
+        walked = searched()
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        assert searched() == walked
+
+    @pytest.mark.parametrize("entries", [0, 64, sact.exact.SUBTREE_ENTRIES, 1 << 30])
+    @pytest.mark.parametrize("eval_cap", [3, 5])
+    def test_evaluation_cap_message(self, entries, eval_cap, monkeypatch):
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        with pytest.raises(CapExceededError) as excinfo:
+            exhaustive_subset_search(make_model([(0.6, 0.4)] * 8), eval_cap=eval_cap)
+        n = eval_cap + 1
+        assert str(excinfo.value) == (
+            f"subset of {n} items exceeds the enumeration cap of {eval_cap} "
+            f"(would require 2^{n} assignments)"
+        )
+
+
 class TestCapMessages:
     def test_enumeration_cap_message(self):
         model = make_model([(0.6, 0.4)] * 5)
@@ -302,6 +346,8 @@ class TestMemory:
         # One prefix per depth 0 .. 14, three arrays of 2^depth entries each
         # (0.75 MiB together), plus the gather of the one 15-item subset.
         # A prefix of all 15 items would add 0.75 MiB that no subset uses.
+        # The walk reaches the deepest prefixes last, after every subtree
+        # valued level by level has freed its arrays.
         model = make_model([(0.7, 0.3)] * 14 + [(0.6, 0.45)])
         # A first search leaves allocations behind that a repeated one does
         # not make: the model's per-item records and id map, built on first
@@ -309,6 +355,39 @@ class TestMemory:
         # it untraced, so the bound holds whatever ran earlier in the process.
         exhaustive_subset_search(model)
         assert traced_peak(lambda: exhaustive_subset_search(model)) <= 1 << 20
+
+    def test_exhaustive_search_frees_its_buffers_on_return(self):
+        # With the cyclic collector off, nothing of the search outlives it:
+        # its prefixes alone are about 196 KB at m = 13.
+        model = make_model([(0.7, 0.3)] * 12 + [(0.6, 0.45)])
+        exhaustive_subset_search(model)  # as above, untraced first
+        collecting = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            exhaustive_subset_search(model)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        assert held <= 8 << 10
+
+    @pytest.mark.parametrize("size, items", [(0, 8), (4, 6), (7, 4), (9, 1), (11, 1), (11, 2)])
+    def test_subtree_peak_per_entry(self, size, items):
+        # Every assignment acts (w_star = -inf), the largest gathers.
+        model = make_model([(0.7, 0.3)] * (size + items))
+        prefix = empty_prefix(size)
+        for item in model.evidence[:size]:
+            extend(prefix, item)
+
+        def value_all():
+            for _ in subtree_probabilities(prefix, (), model.evidence[size:], -np.inf):
+                pass
+
+        value_all()
+        entries = 3**items << size
+        assert traced_peak(value_all) <= sact.exact.SUBTREE_BYTES * entries
 
 
 class TestMemoryBudget:
@@ -349,6 +428,26 @@ class TestMemoryBudget:
         ):
             with pytest.raises(CapExceededError, match="memory budget"):
                 call()
+
+    def test_an_over_budget_search_values_no_subset(self, small_budget, monkeypatch):
+        valued = []
+        monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
+        monkeypatch.setattr(sact.exact, "subtree_probabilities", lambda *args: valued.append(args))
+        with pytest.raises(CapExceededError) as excinfo:
+            exhaustive_subset_search(make_model([(0.7, 0.3)] * 6))
+        assert str(excinfo.value) == (
+            "a prefix of 5 items would reserve 768 bytes, above the memory budget of 384 bytes"
+        )
+        assert valued == []
+
+    def test_a_subtree_over_the_budget_is_walked(self, monkeypatch):
+        # Every prefix of a 5-item search fits the budget; the level arrays
+        # of its larger subtrees would not, so those are walked instead.
+        model = make_model([(0.7, 0.3)] * 4 + [(0.6, 0.45)])
+        expected = exhaustive_subset_search(model)
+        monkeypatch.setattr(sact.exact, "MEMORY_BUDGET", self.BUDGET)
+        assert not sact.exact.subtree_fits(0, 5)
+        assert exhaustive_subset_search(model) == expected
 
     def test_the_default_caps_fit_the_budget(self):
         # Valuing a subset at the enumeration cap reserves the three arrays
