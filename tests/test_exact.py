@@ -254,8 +254,13 @@ class TestExhaustiveLevels:
 
     @pytest.mark.parametrize("entries", [0, 64, sact.exact.SUBTREE_ENTRIES, 1 << 30])
     @pytest.mark.parametrize("eval_cap", [3, 5])
-    def test_evaluation_cap_message(self, entries, eval_cap, monkeypatch):
+    def test_evaluation_cap_is_refused_before_any_subset_is_valued(
+        self, entries, eval_cap, monkeypatch
+    ):
+        valued = []
         monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
+        monkeypatch.setattr(sact.exact, "subtree_probabilities", lambda *args: valued.append(args))
         with pytest.raises(CapExceededError) as excinfo:
             exhaustive_subset_search(make_model([(0.6, 0.4)] * 8), eval_cap=eval_cap)
         n = eval_cap + 1
@@ -263,6 +268,7 @@ class TestExhaustiveLevels:
             f"subset of {n} items exceeds the enumeration cap of {eval_cap} "
             f"(would require 2^{n} assignments)"
         )
+        assert valued == []
 
 
 class TestCapMessages:
