@@ -1,6 +1,6 @@
 """Net inferential value: lifetime policy value net of processing and memory costs.
 
-For the compute and table policies,
+For every policy,
 
     niv = r * (ev - pc_h * p(H) - pc_nh * p(not-H)) - mc
 
@@ -10,6 +10,12 @@ and the memory cost is linear (compute), exponential in the subset size
 cost term: lookup cost is logarithmic and is deliberately ignored, so their
 value is ``r * ev - mc``, which is the same formula with zero processing
 costs.
+
+Each policy's costs are written once, in :func:`policy_costs`, and the formula
+once, in :func:`_net`.  A table's costs depend only on its size
+(:func:`table_costs`), so the subset searches price each candidate table by
+its item count through :func:`table_niv`; tree growth reads its node cost
+from the same rule.
 """
 
 from __future__ import annotations
@@ -82,33 +88,28 @@ class PolicyChoice:
     margin: float
 
 
-def processing_costs(costs: CostModel, policy: Policy) -> tuple[float, float]:
-    """Expected per-episode delay costs (given H, given not-H).
+def table_costs(costs: CostModel, n: int) -> tuple[float, float, float]:
+    """A table's (pc_h, pc_nh, mc) over ``n`` items: k3/k4 per item, k5 per each of 2^n cells."""
+    if n > MAX_TABLE_BITS:
+        raise CapExceededError(
+            f"a table over {n} items needs 2^{n} cells, beyond the "
+            f"{MAX_TABLE_BITS}-bit memory-cost budget"
+        )
+    return costs.k3 * n, costs.k4 * n, costs.k5 * float(1 << n)
 
-    Compute handles all m items at k1/k2 each; a table handles its n compiled
-    items at k3/k4 each; tree lookups are costed at zero.
+
+def policy_costs(costs: CostModel, policy: Policy) -> tuple[float, float, float]:
+    """A policy's per-episode delay costs (given H, given not-H) and its memory cost.
+
+    Compute handles all m items at k1/k2 each and holds k5 per item; a table
+    is priced by its size alone (:func:`table_costs`); tree lookups are
+    costed at zero and each node holds k5*k6.
     """
     if isinstance(policy, ComputePolicy):
-        return costs.k1 * policy.m, costs.k2 * policy.m
+        return costs.k1 * policy.m, costs.k2 * policy.m, costs.k5 * policy.m
     if isinstance(policy, TablePolicy):
-        n = len(policy.subset)
-        return costs.k3 * n, costs.k4 * n
-    return 0.0, 0.0
-
-
-def memory_costs(costs: CostModel, policy: Policy) -> float:
-    """Memory cost of holding the policy: k5 per cell, k5*k6 per tree node."""
-    if isinstance(policy, ComputePolicy):
-        return costs.k5 * policy.m
-    if isinstance(policy, TablePolicy):
-        n = len(policy.subset)
-        if n > MAX_TABLE_BITS:
-            raise CapExceededError(
-                f"a table over {n} items needs 2^{n} cells, beyond the "
-                f"{MAX_TABLE_BITS}-bit memory-cost budget"
-            )
-        return costs.k5 * float(1 << n)
-    return costs.k5 * costs.k6 * policy.node_count
+        return table_costs(costs, len(policy.subset))
+    return 0.0, 0.0, costs.k5 * costs.k6 * policy.node_count
 
 
 def niv(model: DiagnosisModel, policy: Policy, ev: float, *, method: Method) -> NivReport:
@@ -140,27 +141,25 @@ def niv(model: DiagnosisModel, policy: Policy, ev: float, *, method: Method) -> 
             raise MethodError("tree policies are evaluated exactly; use method='exact'")
     else:
         raise DomainError(f"unknown policy {policy!r}")
-    pc_h, pc_nh, mc, value = _assess(model, policy, ev)
+    pc_h, pc_nh, mc = policy_costs(model.costs, policy)
+    value = _net(model, ev, pc_h, pc_nh, mc)
     return NivReport(policy=policy, ev=ev, pc_h=pc_h, pc_nh=pc_nh, mc=mc, niv=value, method=method)
 
 
-def _assess(model: DiagnosisModel, policy: Policy, ev: float) -> tuple[float, float, float, float]:
-    """A policy's processing costs, memory cost and net inferential value, unchecked."""
-    pc_h, pc_nh = processing_costs(model.costs, policy)
-    mc = memory_costs(model.costs, policy)
-    return pc_h, pc_nh, mc, model.costs.r * (ev - pc_h * model.p_h - pc_nh * (1.0 - model.p_h)) - mc
+def _net(model: DiagnosisModel, ev: float, pc_h: float, pc_nh: float, mc: float) -> float:
+    """The net inferential value of a policy with these expected value and costs."""
+    return model.costs.r * (ev - pc_h * model.p_h - pc_nh * (1.0 - model.p_h)) - mc
 
 
-def table_niv(model: DiagnosisModel, subset: tuple[str, ...], ev: float) -> float:
-    """``niv(model, TablePolicy(subset), ev, method=...).niv``, without checking the subset.
+def table_niv(model: DiagnosisModel, n: int, ev: float) -> float:
+    """``niv(model, TablePolicy(subset), ev, method=...).niv`` for any subset of ``n`` items.
 
-    Subset selection values many candidates whose ids it has already
-    resolved, so it calls this once per candidate and builds a
+    A table is priced by its size alone, so subset selection values each
+    candidate by its item count, without building a policy, and builds a
     :class:`NivReport` only for the subset it returns.  A table over more
-    than ``MAX_TABLE_BITS`` items is refused, as :func:`niv` refuses
-    it.
+    than ``MAX_TABLE_BITS`` items is refused, as :func:`niv` refuses it.
     """
-    return _assess(model, TablePolicy(subset), ev)[3]
+    return _net(model, ev, *table_costs(model.costs, n))
 
 
 def finite(value: float, what: str) -> float:

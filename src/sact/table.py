@@ -12,8 +12,9 @@ subtree's arrays and one prefix per depth.
 Greedy selection records the probabilities of each step it accepts on the
 model (``DiagnosisModel.valuation_record``), and the ``*_ev_subset``
 valuations read a recorded subset instead of valuing it again: the same
-floats, since the record holds what the evaluator returned.  Both searches
-value each candidate with :func:`~sact.niv.table_niv` and build a
+floats, since the record holds what the evaluator returned.  A table's costs
+depend only on its size, so both searches price each candidate by its item
+count with :func:`~sact.niv.table_niv` and build a
 :class:`~sact.niv.NivReport` only for what they return.
 
 The compiler enumerates every assignment of a chosen evidence subset, decides
@@ -278,12 +279,12 @@ def exhaustive_subset_search(
     # Rejects a model that repeats an id, as valuing a subset of it would.
     items = resolve_subset(model, ids)
     ev = exact_ev_subset(model, (), cap=eval_cap).ev
-    best = (table_niv(model, (), ev), (), ev)  # (niv, subset, ev)
+    best = (table_niv(model, 0, ev), (), ev)  # (niv, subset, ev)
 
     def consider(subset: tuple[str, ...], p_act: tuple[float, float]) -> None:
         nonlocal best
         ev = compose_ev(model, *p_act)
-        value = table_niv(model, subset, ev)
+        value = table_niv(model, len(subset), ev)
         if value > best[0] or (
             value == best[0] and (len(subset), subset) < (len(best[1]), best[1])
         ):
@@ -364,7 +365,7 @@ def greedy_select(
     chosen: list[str] = []
     record = model.valuation_record
 
-    current_niv = finite(table_niv(model, (), compose_ev(model, *evaluate(()))),
+    current_niv = finite(table_niv(model, 0, compose_ev(model, *evaluate(()))),
                          "the net inferential value of the empty table")
     best_niv, best_len = current_niv, 0
     steps: list[SelectionStep] = []
@@ -381,7 +382,7 @@ def greedy_select(
             candidate = chosen + [evidence_id]
             p_act = evaluate(candidate)
             ev = compose_ev(model, *p_act)
-            value = table_niv(model, tuple(candidate), ev)
+            value = table_niv(model, len(candidate), ev)
             if outranks(value, ev, evidence_id, best_candidate):
                 best_candidate = (value, ev, evidence_id, p_act)
         assert best_candidate is not None

@@ -39,7 +39,7 @@ from .model import (
     parse_json,
     threshold,
 )
-from .niv import NivReport, TreePolicy, finite, niv, outranks
+from .niv import NivReport, TreePolicy, finite, niv, outranks, policy_costs
 
 DEFAULT_TREE_CAP = 20
 
@@ -158,9 +158,12 @@ def build_tree(
     expansions is explored and committed only if the subtree ends up ahead,
     in which case the whole subtree is recorded as a single step.
 
-    Path probabilities are cheap running products, so valuation is exact;
-    there is no Gaussian variant for asymmetric paths.  A NIV or gain that is
-    not finite is refused with :class:`DomainError`.
+    Each node costs what it costs in :func:`tree_niv`: the memory cost
+    :func:`~sact.niv.policy_costs` gives a one-node tree, the same rule that
+    prices a table by its size.  Path probabilities are cheap running
+    products, so valuation is exact; there is no Gaussian variant for
+    asymmetric paths.  A NIV or gain that is not finite is refused with
+    :class:`DomainError`.
     """
     if lookahead < 0:
         raise MethodError("lookahead depth must be >= 0")
@@ -169,7 +172,7 @@ def build_tree(
             f"model has {len(model.evidence)} evidence items, above the tree cap of {cap}"
         )
     thr = threshold(model.utilities, model.p_h)
-    node_cost = model.costs.k5 * model.costs.k6
+    node_cost = policy_costs(model.costs, TreePolicy(1))[2]
     r = model.costs.r
     candidates = [(item.id, item.record.branches) for item in model.evidence]
 
@@ -200,26 +203,24 @@ def build_tree(
             return Leaf(action), 0.0, []
         dniv, _, evidence_id, branches = best
         finite(dniv, "the net inferential value gain of the best expansion")
-
-        def children(child_tolerance: int):
-            used_below = used | {evidence_id}
-            (a1, b1, w1), (a0, b0, w0) = branches
-            if_true = grow(p_path_h * a1, p_path_nh * b1, w_path + w1, used_below, child_tolerance)
-            if_false = grow(p_path_h * a0, p_path_nh * b0, w_path + w0, used_below, child_tolerance)
-            # (true node, false node, their NIV gain, their expansion events)
-            return if_true[0], if_false[0], if_true[1] + if_false[1], if_true[2] + if_false[2]
-
+        if dniv <= 0.0 and tolerance == 0:
+            return Leaf(action), 0.0, []
+        # An improving expansion gives its children the full lookahead again;
+        # a tolerated dip spends one level of it.
+        child_tolerance = lookahead if dniv > 0.0 else tolerance - 1
+        used_below = used | {evidence_id}
+        (if_true, true_gain, true_events), (if_false, false_gain, false_events) = [
+            grow(p_path_h * a, p_path_nh * b, w_path + w, used_below, child_tolerance)
+            for a, b, w in branches
+        ]
+        total = dniv + (true_gain + false_gain)
+        node = Internal(evidence_id, if_true, if_false)
         if dniv > 0.0:
-            true_node, false_node, child_gain, child_events = children(lookahead)
-            events = [(evidence_id, dniv)] + child_events
-            return Internal(evidence_id, true_node, false_node), dniv + child_gain, events
-        if tolerance > 0:
-            true_node, false_node, child_gain, _ = children(tolerance - 1)
-            total = dniv + child_gain
-            if total > 0.0:
-                # Committed as one step: the dip is only acceptable as part of
-                # this subtree, so it is traced as a unit.
-                return Internal(evidence_id, true_node, false_node), total, [(evidence_id, total)]
+            return node, total, [(evidence_id, dniv)] + true_events + false_events
+        if total > 0.0:
+            # Committed as one step: the dip is only acceptable as part of
+            # this subtree, so it is traced as a unit.
+            return node, total, [(evidence_id, total)]
         return Leaf(action), 0.0, []
 
     null_action = optimal_action(0.0, thr)

@@ -18,7 +18,7 @@ from sact import (
     niv,
 )
 
-from sact.niv import memory_costs, processing_costs, table_niv
+from sact.niv import policy_costs, table_niv
 
 from helpers import m1, make_model, random_model
 
@@ -27,34 +27,34 @@ COSTS = CostModel(k1=2.0, k2=1.0, k3=0.5, k4=0.5, k5=2.0, k6=1.5, r=1.0)
 
 class TestProcessingCosts:
     def test_compute_with_no_evidence_is_free(self):
-        assert processing_costs(COSTS, ComputePolicy(0)) == (0.0, 0.0)
+        assert policy_costs(COSTS, ComputePolicy(0))[:2] == (0.0, 0.0)
 
     def test_compute_is_linear_in_m(self):
-        assert processing_costs(COSTS, ComputePolicy(10)) == (20.0, 10.0)
+        assert policy_costs(COSTS, ComputePolicy(10))[:2] == (20.0, 10.0)
 
     def test_table_is_linear_in_n(self):
-        assert processing_costs(COSTS, TablePolicy(("a", "b", "c"))) == (1.5, 1.5)
+        assert policy_costs(COSTS, TablePolicy(("a", "b", "c")))[:2] == (1.5, 1.5)
 
     def test_tree_lookups_are_costed_at_zero(self):
-        assert processing_costs(COSTS, TreePolicy(7)) == (0.0, 0.0)
+        assert policy_costs(COSTS, TreePolicy(7))[:2] == (0.0, 0.0)
 
 
 class TestMemoryCosts:
     def test_table_is_exponential(self):
-        assert memory_costs(COSTS, TablePolicy(("a", "b", "c"))) == 16.0
+        assert policy_costs(COSTS, TablePolicy(("a", "b", "c")))[2] == 16.0
 
     def test_compute_is_linear(self):
-        assert memory_costs(COSTS, ComputePolicy(10)) == 20.0
+        assert policy_costs(COSTS, ComputePolicy(10))[2] == 20.0
 
     def test_tree_counts_nodes(self):
         costs = CostModel(0, 0, 0, 0, 1.0, 1.0, 1.0)
-        assert memory_costs(costs, TreePolicy(7)) == 7.0
+        assert policy_costs(costs, TreePolicy(7))[2] == 7.0
 
     def test_oversized_table_refused(self):
         subset = tuple(f"e{i}" for i in range(63))
         with pytest.raises(CapExceededError):
-            memory_costs(COSTS, TablePolicy(subset))
-        assert memory_costs(COSTS, TablePolicy(subset[:62])) == 2.0 * 2**62
+            policy_costs(COSTS, TablePolicy(subset))
+        assert policy_costs(COSTS, TablePolicy(subset[:62]))[2] == 2.0 * 2**62
 
 
 class TestNiv:
@@ -116,14 +116,14 @@ class TestNiv:
             ev = rng.uniform(-5.0, 5.0)
             for method in ("exact", "gaussian"):
                 report = niv(model, TablePolicy(subset), ev, method=method)
-                assert table_niv(model, subset, ev).hex() == report.niv.hex()
+                assert table_niv(model, len(subset), ev).hex() == report.niv.hex()
 
     def test_table_niv_keeps_the_62_bit_refusal(self):
         model = m1(costs=COSTS)
         # k5 = 2 per cell: 2^62 cells are admitted, 2^63 refused.
-        assert table_niv(model, tuple(f"e{i}" for i in range(62)), 0.5) < -(2.0**62)
+        assert table_niv(model, 62, 0.5) < -(2.0**62)
         with pytest.raises(CapExceededError, match="^a table over 63 items needs 2\\^63 cells"):
-            table_niv(model, tuple(f"e{i}" for i in range(63)), 0.5)
+            table_niv(model, 63, 0.5)
 
     def test_greedy_selection_is_refused_at_the_63rd_item(self):
         # Free compilation of 70 informative items: the Gaussian hill-climb
