@@ -1,21 +1,37 @@
-"""Byte-level fuzzing of the files the CLI reads.
+"""Fuzzing of the files the CLI reads, and of the values a valid model may hold.
 
 Each example mangles the bytes of a valid model, tree, observation, SACT
 table or weight-profile file and runs commands on it through
 ``sact.cli.main`` in this process.  Every run must return a documented exit
 code (0-4) and raise nothing.  The examples are derandomized, so every run
 tests the same inputs.
+
+The last test draws models from extreme values with a seeded generator and
+runs every design and lookup command on each one ``validate`` accepts: if
+``validate`` exits 0, no other command may raise.
 """
 
 import contextlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sact.cli
-from sact import build_tree, compile_table, export_tree, model_to_json, write_table
+from sact import (
+    CostModel,
+    DiagnosisModel,
+    EvidenceVariable,
+    UtilityTable,
+    build_tree,
+    compile_table,
+    export_tree,
+    model_to_json,
+    validate_model,
+    write_table,
+)
 
 from helpers import make_model
 
@@ -124,3 +140,56 @@ def test_mangled_profile(workspace, blob):
         ["proto", "--profile-file", profile, "--method", "exact", "--moments-out", out],
     ):
         assert run_main(*argv) in EXIT_CODES
+
+
+# The extremes of each field: subnormal and near-one probabilities, utilities
+# at the float's range, costs from zero to near overflow.
+PROBABILITIES = (5e-324, 1e-300, 1e-16, 0.1, 0.5, 0.9, 1.0 - 2.0**-53)
+UTILITIES = (1e308, -1e308, 1.0, -1.0, 0.0, 1e-300)
+COSTS = (0.0, 1e-300, 1.0, 1e300, 1.7e308)
+
+
+def extreme_model(rng: random.Random) -> DiagnosisModel:
+    evidence = tuple(
+        EvidenceVariable(f"e{i}", rng.choice(PROBABILITIES), rng.choice(PROBABILITIES))
+        for i in range(rng.randint(0, 7))
+    )
+    return DiagnosisModel(
+        rng.choice(PROBABILITIES),
+        evidence,
+        UtilityTable(*(rng.choice(UTILITIES) for _ in range(4))),
+        CostModel(*(rng.choice(COSTS) for _ in range(7))),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_command_runs_on_a_model_validate_accepts(tmp_path, seed):
+    rng = random.Random(seed)
+    models = [model for model in (extreme_model(rng) for _ in range(1500))
+              if not validate_model(model)]
+    assert len(models) > 40
+    model, table, tree, obs, out = (
+        str(tmp_path / name) for name in ("model.json", "table.sact", "tree.json", "obs.json", "out")
+    )
+    for drawn in models:
+        ids = [item.id for item in drawn.evidence]
+        (tmp_path / "model.json").write_text(model_to_json(drawn))
+        (tmp_path / "obs.json").write_text(json.dumps({i: rng.random() < 0.5 for i in ids}))
+        # A lookup must not read the artifacts of an earlier model.
+        for name in ("table.sact", "tree.json"):
+            (tmp_path / name).unlink(missing_ok=True)
+        assert run_main("validate", model) == 0
+        for argv in (
+            ["analyze", model],
+            ["analyze", model, "--method", "gaussian"],
+            ["select", model, "--lookahead", "2"],
+            ["select", model, "--method", "gaussian"],
+            ["select", model, "--exhaustive"],
+            ["compile", model, "--out", out],
+            ["compile", model, "--subset", ",".join(ids), "--out", table],
+            ["tree", model, "--out", tree],
+            ["tree", model, "--format", "dot", "--lookahead", "1"],
+            ["lookup", model, "--table", table, "--obs", obs],
+            ["lookup", model, "--tree", tree, "--obs", obs],
+        ):
+            assert run_main(*argv) in EXIT_CODES, argv
