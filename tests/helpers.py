@@ -14,6 +14,7 @@ import numpy as np
 
 import sact
 from sact import (
+    Action,
     CostModel,
     DiagnosisModel,
     EvidenceVariable,
@@ -292,10 +293,53 @@ def complete_tree(model: DiagnosisModel, subset) -> SituationActionTree:
     return SituationActionTree(build(0, 0.0), model_digest(model))
 
 
+def optimal_tree(model: DiagnosisModel) -> tuple[SituationActionTree, float]:
+    """The tree of greatest net inferential value, and the NIV the search summed for it.
+
+    A tree's NIV, r * EV - c * nodes with c = k5 * k6, is a sum over its
+    nodes, and a subtree's share depends only on the partial assignment of
+    its path.  So the best tree is a dynamic program over the 3^m partial
+    assignments s (Garey 1972):
+
+        V(s) = max(r * leaf(s) - c, max over unused e of V(s, e true) + V(s, e false) - c)
+
+    where leaf(s) is the larger of the two actions' shares of the expected
+    value, acting on a tie, written out here rather than read from the
+    threshold rule.  The returned NIV adds in the search's order; value the
+    tree with ``tree_niv`` to compare it with another tree.
+    """
+    u, p_h = model.utilities, model.p_h
+    c, r = model.costs.k5 * model.costs.k6, model.costs.r
+    memo: dict[frozenset, tuple[float, object]] = {}
+
+    def best(path: frozenset, p_path_h: float, p_path_nh: float) -> tuple[float, object]:
+        if path not in memo:
+            act = p_h * p_path_h * u.u_h_d + (1.0 - p_h) * p_path_nh * u.u_nh_d
+            wait = p_h * p_path_h * u.u_h_nd + (1.0 - p_h) * p_path_nh * u.u_nh_nd
+            found = (r * max(act, wait) - c, Leaf(Action.ACT if act >= wait else Action.NO_ACT))
+            used = {evidence_id for evidence_id, _ in path}
+            for item in model.evidence:
+                if item.id in used:
+                    continue
+                value_true, if_true = best(
+                    path | {(item.id, True)}, p_path_h * item.alpha, p_path_nh * item.beta
+                )
+                value_false, if_false = best(
+                    path | {(item.id, False)},
+                    p_path_h * (1.0 - item.alpha),
+                    p_path_nh * (1.0 - item.beta),
+                )
+                if value_true + value_false - c > found[0]:
+                    found = (value_true + value_false - c, Internal(item.id, if_true, if_false))
+            memo[path] = found
+        return memo[path]
+
+    value, root = best(frozenset(), 1.0, 1.0)
+    return SituationActionTree(root, model_digest(model)), value
+
+
 def example_action_tree() -> Internal:
     """The worked three-test tree: act if e7, else if e3 and e6."""
-    from sact import Action
-
     return Internal(
         "e7",
         Leaf(Action.ACT),

@@ -31,10 +31,12 @@ from sact.tree import count_nodes
 from helpers import (
     UNIT_COSTS,
     complete_tree,
+    design_model,
     example_action_tree,
     item_formulas,
     m1,
     make_model,
+    optimal_tree,
     random_model,
 )
 
@@ -216,6 +218,41 @@ class TestBuildTree:
         assert deep.node_count > 1
         for step in trace.steps:
             assert step.niv_after > step.niv_before
+
+
+class TestOptimalTree:
+    """Hill-climbing against the dynamic-programming optimum of ``helpers.optimal_tree``."""
+
+    @staticmethod
+    def models():
+        rng = random.Random(401)
+        designed = [
+            design_model(rng, m, alpha=(0.55, 0.8), beta=(0.2, 0.45),
+                         k5=10.0 ** rng.uniform(-3.0, -1.0), k6=1.0)
+            for m in (5, 6, 7, 8) * 4
+        ]
+        return designed + [random_model(rng, m) for m in range(9) for _ in range(2)]
+
+    def test_hill_climbing_never_beats_the_optimum(self):
+        below = 0
+        for model in self.models():
+            tree, value = optimal_tree(model)
+            optimum = tree_niv(model, tree).niv
+            slack = 1e-12 * max(1.0, abs(optimum))
+            # The search's own sum agrees with the tree's valuation up to rounding.
+            assert abs(value - optimum) <= slack
+            for lookahead in (0, 1, 2):
+                grown = tree_niv(model, build_tree(model, lookahead=lookahead)[0]).niv
+                assert grown <= optimum + slack, (lookahead, grown, optimum)
+                below += grown < optimum - slack
+        # The oracle can tell the two apart: hill-climbing falls short on
+        # some of these models.
+        assert below > 0
+
+    def test_the_optimum_of_one_free_split_is_that_split(self):
+        costs = CostModel(0, 0, 0, 0, 0.0, 1.0, 1.0)
+        tree, _ = optimal_tree(m1(costs=costs))
+        assert tree.root == Internal("e1", Leaf(Action.ACT), Leaf(Action.NO_ACT))
 
 
 class TestTreeLookup:
