@@ -149,10 +149,15 @@ def realize_profile(profile: WeightProfile) -> list[EvidenceVariable]:
     """Turn a profile into concrete evidence variables under symmetry.
 
     Each weight w becomes an item with ``alpha = e^w / (1 + e^w)`` and
-    ``beta = 1 - alpha``, so the true-branch weight is exactly w and the
-    false-branch weight is -w.  Ids are sequential in sampling order and
-    zero-padded so lexicographic order matches index order.  A profile of
-    more than ``PROFILE_CAP`` items is refused before any is made.
+    ``beta = 1 - alpha``, so the true-branch weight is w and the
+    false-branch weight is -w up to the rounding of alpha: each is within
+    ``2^-52 * (1 + e^w)`` of its target.  A tiny weight is realized as 0.0
+    (w = 1e-300 is), w = 30 as 30.00102, and above about 36 distinct weights
+    become one item (36, 36.5 and 36.7 are all realized as 36.04365); a
+    weight whose alpha rounds to 1 is refused.  Ids are sequential in
+    sampling order and zero-padded so lexicographic order matches index
+    order.  A profile of more than ``PROFILE_CAP`` items is refused before
+    any is made.
     """
     weights = profile.weights
     _refuse_above_cap(profile.name, len(weights))

@@ -64,6 +64,23 @@ class TestRealizeProfile:
             assert pair.w_pos == pytest.approx(w, abs=1e-12)
             assert pair.w_neg == pytest.approx(-w, abs=1e-12)
 
+    def test_realized_weights_keep_the_documented_precision(self):
+        rng = random.Random(7)
+        weights = [rng.uniform(0.0, 36.7) for _ in range(500)]
+        weights += [10.0 ** rng.uniform(-300.0, 1.0) for _ in range(500)]
+        for item, w in zip(realize_profile(WeightProfile.explicit("mix", weights)), weights):
+            (_, _, w_pos), (_, _, w_neg) = item.record.branches
+            bound = 2.0**-52 * (1.0 + math.exp(w))
+            assert abs(w_pos - w) <= bound and abs(w_neg + w) <= bound, w
+
+    def test_realized_weights_are_not_the_profile_weights(self):
+        items = realize_profile(WeightProfile.explicit("x", [1e-300, 30.0, 36.0, 36.5, 36.7]))
+        w_pos = [item.record.branches[0][2] for item in items]
+        assert w_pos[0] == 0.0
+        assert abs(w_pos[1] - 30.00102) < 1e-6
+        assert w_pos[2] == w_pos[3] == w_pos[4] == pytest.approx(36.04365, abs=1e-5)
+        assert len({(item.alpha, item.beta) for item in items[2:]}) == 1
+
     def test_triangle_quantiles_match_closed_form(self):
         # Density 1 - w/c on (0, c] has CDF 1 - (1 - w/c)^2, so the q-quantile
         # is c*(1 - sqrt(1 - q)).
