@@ -147,7 +147,7 @@ def niv(model: DiagnosisModel, policy: Policy, ev: float, *, method: Method) -> 
 
 
 def _net(model: DiagnosisModel, ev: float, pc_h: float, pc_nh: float, mc: float) -> float:
-    """The net inferential value of a policy with these expected value and costs."""
+    """The net inferential value of a policy with this expected value and these costs."""
     return model.costs.r * (ev - pc_h * model.p_h - pc_nh * (1.0 - model.p_h)) - mc
 
 

@@ -158,8 +158,8 @@ def build_tree(
     expansions is explored and committed only if the subtree ends up ahead,
     in which case the whole subtree is recorded as a single step.
 
-    Each node costs what it costs in :func:`tree_niv`: the memory cost
-    :func:`~sact.niv.policy_costs` gives a one-node tree, the same rule that
+    Each node is priced as :func:`tree_niv` prices it, by the memory cost
+    :func:`~sact.niv.policy_costs` gives a one-node tree: the rule that also
     prices a table by its size.  Path probabilities are cheap running
     products, so valuation is exact; there is no Gaussian variant for
     asymmetric paths.  A NIV or gain that is not finite is refused with
