@@ -13,20 +13,25 @@ first extension how many bytes the prefix will need, and a reservation
 above :data:`MEMORY_BUDGET` is refused before anything is reserved.
 :func:`extend` appends one item in place, allocating nothing, and
 :func:`act_probabilities` values the prefix plus one more item without
-building that item's arrays.  Both read the item's two branches, (P(E | H),
+building that item's arrays: it finds the acting assignments
+:data:`BLOCK` prefix entries at a time and sums their probabilities one
+leaf of at most :data:`LEAF` at a time, along numpy's own pairwise tree
+(:func:`pairwise_sum`).  Both read the item's two branches, (P(E | H),
 P(E | not-H), weight) for E true and for E false, from its record, computed
 once, on first read (:attr:`~sact.model.EvidenceVariable.record`).
 :mod:`sact.table` values every subset through this kernel, extending one
 prefix; exhaustive search also values each small subtree of subsets level
 by level, all subsets of one size at once (:func:`subtree_probabilities`).
-Every weight sum is still accumulated left to right over the subset, so all
-results are bit-identical to enumerating each subset from scratch.
+Every weight sum is still accumulated left to right over the subset, and
+every probability sum rounds as numpy's sum of the whole acting sequence,
+so all results are bit-identical to enumerating each subset from scratch.
 
-Peak memory (tracemalloc, n = 18, in float64 arrays of 2^18 entries):
-:func:`weight_sums` 1.0 and the table compiler 1.14, where building each
-step's arrays anew took 2.5.  Valuing a subset of n items holds the three
-arrays of its first n - 1 items plus the last item's gather, 2.4 to 3.1 of
-those arrays.  A subtree valued level by level holds at most
+Peak memory (tracemalloc, n = 18, in float64 arrays of 2^17 entries):
+valuing a subset of n items holds the three arrays of its first n - 1
+items, two boolean masks over them (1/4 of an array) and one leaf of
+gathered probabilities per hypothesis, 3.5 of those arrays whatever share
+of the assignments acts; gathering the acting probabilities whole took 4.8
+to 6.2.  A subtree valued level by level holds at most
 :data:`SUBTREE_BYTES` per entry (20 to 50 measured).  The pages of a buffer
 that a run never reaches are never touched, so they do not count toward
 resident memory.
@@ -34,7 +39,7 @@ resident memory.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +57,15 @@ MEMORY_BUDGET = 1 << 30
 # (:func:`subtree_fits`), and the most bytes that valuation holds per entry.
 SUBTREE_ENTRIES = 1 << 14
 SUBTREE_BYTES = 64
+
+# :func:`act_probabilities` reads a prefix BLOCK entries at a time and sums
+# at most LEAF acting probabilities in one ``np.add.reduce``.  numpy's
+# pairwise sum never splits a range of 128 entries or fewer, so LEAF must be
+# at least 128.  A valuation holds one leaf per hypothesis and the acting
+# positions of one block, so at a prefix of 2^14 entries it holds no more
+# than gathering the acting probabilities whole did.
+BLOCK = 1 << 14
+LEAF = 1 << 13
 
 
 def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[EvidenceVariable]:
@@ -77,39 +91,43 @@ def check_enumeration_cap(n: int, cap: int) -> None:
         )
 
 
-def check_reservation(size: int, arrays: int = 3) -> None:
-    """Refuse a prefix of ``size`` items in ``arrays`` buffers above :data:`MEMORY_BUDGET`."""
-    reserved = arrays * 8 << size
+def check_budget(reserved: int, what: str) -> None:
+    """Refuse ``what`` if it would reserve more than :data:`MEMORY_BUDGET` bytes."""
     if reserved > MEMORY_BUDGET:
         raise CapExceededError(
-            f"a prefix of {size} items would reserve {reserved} bytes, above the "
-            f"memory budget of {MEMORY_BUDGET} bytes"
+            f"{what} would reserve {reserved} bytes, above the memory budget of "
+            f"{MEMORY_BUDGET} bytes"
         )
+
+
+def check_reservation(size: int) -> None:
+    """Refuse a prefix of ``size`` items, three buffers of 2^size entries,
+    above :data:`MEMORY_BUDGET`."""
+    check_budget(3 * 8 << size, f"a prefix of {size} items")
 
 
 class Prefix:
     """The assignments of a subset's leading items, in buffers reserved once.
 
     The buffers hold the weight sums, then P(assignment | H) and
-    P(assignment | not-H), indexed by the assignment convention above; a
-    prefix of the weight sums alone holds just the first.  The prefix is the
-    leading entries of each buffer, viewed by ``arrays``.
+    P(assignment | not-H), indexed by the assignment convention above.  The
+    prefix is the leading entries of each buffer, viewed by ``arrays``.
     """
 
     __slots__ = ("buffers", "arrays")
 
-    def __init__(self, size: int, firsts: Sequence[float]) -> None:
-        check_reservation(size, len(firsts))
+    def __init__(self, size: int) -> None:
+        check_reservation(size)
         # np.empty, not zeros: a page the prefix never reaches is never touched.
-        self.buffers = [np.empty(1 << size) for _ in firsts]
-        for buffer, first in zip(self.buffers, firsts):
+        self.buffers = [np.empty(1 << size) for _ in range(3)]
+        for buffer, first in zip(self.buffers, (0.0, 1.0, 1.0)):
             buffer[0] = first
         self.arrays = [buffer[:1] for buffer in self.buffers]
 
 
 def empty_prefix(size: int) -> Prefix:
     """The empty subset (weight 0, probability 1), reserved for ``size`` items."""
-    return Prefix(size, (0.0, 1.0, 1.0))
+    return Prefix(size)
 
 
 def extend(prefix: Prefix, item: EvidenceVariable, out: Prefix | None = None) -> None:
@@ -132,33 +150,89 @@ def extend(prefix: Prefix, item: EvidenceVariable, out: Prefix | None = None) ->
     out.arrays = [target[: 2 * n] for target in out.buffers]
 
 
+def pairwise_sum(leaf: Callable[[int], np.ndarray], n: int) -> np.ndarray:
+    """numpy's pairwise sum of ``n`` values, given ``leaf(count)``, the sum
+    of the next ``count`` of them.
+
+    ``np.add.reduce`` of a contiguous float64 array splits a range of more
+    than 128 entries after ``n // 2 - n // 2 % 8`` of them, a split that
+    depends on the length alone, and adds the sums of the two parts.  This
+    splits the same way down to ranges of at most :data:`LEAF` entries, each
+    of which ``leaf`` sums with one ``np.add.reduce``, and adds the parts as
+    numpy does: the result is ``np.add.reduce`` of all ``n`` values, bit for
+    bit.  ``leaf`` may sum several sequences of values at once, as an array
+    of sums.
+    """
+    if n <= LEAF:
+        return leaf(n)
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum(leaf, half) + pairwise_sum(leaf, n - half)
+
+
 def act_probabilities(
     prefix: Prefix, item: EvidenceVariable, w_star: float
 ) -> tuple[float, float]:
     """P(act | H) and P(act | not-H) of the prefix plus one trailing item.
 
-    The probabilities of the acting assignments are gathered into one array
-    in index order, which holds the same values in the same order as the
-    extended probability array masked by ``weights >= w_star``.  numpy's
-    pairwise sum therefore rounds exactly as it would on the extended
-    arrays, which are never built.  The decision compares
-    ``weights + w >= w_star``, the extended weight itself: at a sum that sits
-    on the threshold, ``weights >= w_star - w`` can round the other way.
+    The acting assignments are those of the extended arrays where
+    ``weights >= w_star``: the prefix's entries that act with the item
+    false, then those that act with it true, each in index order.  Their
+    probabilities are summed as numpy's pairwise sum of that sequence
+    (:func:`pairwise_sum`), so the floats are those of summing the extended
+    arrays, which are never built.  The masks are computed :data:`BLOCK`
+    prefix entries at a time, and the sequence is gathered and summed one
+    leaf at a time, for both hypotheses at once: beside the prefix, only the
+    two masks grow with it.  The decision compares ``weights + w >=
+    w_star``, the extended weight itself: at a sum that sits on the
+    threshold, ``weights >= w_star - w`` can round the other way.
     """
     weights, p_given_h, p_given_nh = prefix.arrays
     (a1, b1, w1), (a0, b0, w0) = item.record.branches
-    low = weights + w0 >= w_star
-    high = weights + w1 >= w_star
-    split = int(np.count_nonzero(low))
-    size = split + int(np.count_nonzero(high))
+    # (block, mask, P(E | H), P(E | not-H)) of each block with an acting
+    # entry, the false branch first.
+    chunks = []
+    size = 0
+    for w, f_h, f_nh in ((w0, a0, b0), (w1, a1, b1)):
+        for start in range(0, len(weights), BLOCK):
+            block = slice(start, start + BLOCK)
+            mask = weights[block] + w >= w_star
+            count = np.count_nonzero(mask)
+            if count:
+                chunks.append((block, mask, f_h, f_nh))
+                size += count
+    # Popped in order, so each mask is freed once its positions are found.
+    chunks.reverse()
+    acting = np.empty((2, min(size, LEAF)))
+    acting_h, acting_nh = acting[0], acting[1]
+    # The chunk being gathered: its acting positions not yet gathered, None
+    # once all are.
+    block = where = f_h = f_nh = None
 
-    def acting_mass(p: np.ndarray, if_false: float, if_true: float) -> float:
-        acting = np.empty(size)
-        np.multiply(p[low], if_false, out=acting[:split])
-        np.multiply(p[high], if_true, out=acting[split:])
-        return float(acting.sum())
+    def leaf(count: int) -> np.ndarray:
+        nonlocal block, where, f_h, f_nh
+        filled = 0
+        while filled < count:
+            if where is None:
+                block, mask, f_h, f_nh = chunks.pop()
+                where = mask.nonzero()[0]
+            part = where[: count - filled]
+            end = filled + len(part)
+            # "clip", as "raise" would gather into a copy of ``out`` first.
+            out = acting_h[filled:end]
+            p_given_h[block].take(part, out=out, mode="clip")
+            out *= f_h
+            out = acting_nh[filled:end]
+            p_given_nh[block].take(part, out=out, mode="clip")
+            out *= f_nh
+            where = where[len(part) :] if len(part) < len(where) else None
+            filled = end
+            # A gathered chunk's positions are freed before the next are found.
+            del part
+        # Each row is reduced as one contiguous array, by numpy's pairwise sum.
+        return np.add.reduce(acting[:, :count], axis=1)
 
-    return acting_mass(p_given_h, a0, a1), acting_mass(p_given_nh, b0, b1)
+    p_act_h, p_act_nh = pairwise_sum(leaf, size).tolist()
+    return p_act_h, p_act_nh
 
 
 def subtree_fits(size: int, items: int) -> bool:
@@ -218,19 +292,6 @@ def subtree_probabilities(
         for subset, count in zip(subsets, counts):
             start, end = end, end + count
             yield subset, (float(reduce(acting_h[start:end])), float(reduce(acting_nh[start:end])))
-
-
-def weight_sums(model: DiagnosisModel, subset: Sequence[str]) -> np.ndarray:
-    """Summed evidence weight of every assignment of a subset, in index order.
-
-    The buffer holds 2^n entries, so a subset over the memory budget is
-    refused.
-    """
-    items = resolve_subset(model, subset)
-    prefix = Prefix(len(items), (0.0,))
-    for item in items:
-        extend(prefix, item)
-    return prefix.buffers[0]
 
 
 def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: float) -> float:

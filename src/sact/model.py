@@ -130,6 +130,12 @@ class DiagnosisModel:
         return MappingProxyType(self._evidence_by_id)
 
     @cached_property
+    def digest(self) -> bytes:
+        """The model's :func:`model_digest`, computed on first read."""
+        canonical = json.dumps(model_to_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).digest()
+
+    @cached_property
     def valuation_record(self) -> dict[tuple[str, tuple[str, ...]], tuple[float, float]]:
         """(P(act | H), P(act | not-H)) of the subsets greedy selection
         accepted on this model, keyed by (method, subset).
@@ -344,7 +350,8 @@ def fields_dict(obj: object) -> dict:
 
     Not ``dataclasses.asdict``, which recurses and deep-copies every value:
     on a model of 20 items it takes about 7 times as long, and
-    :func:`model_digest` runs on every compile, tree and lookup.
+    :func:`model_digest` runs on every model a command compiles, grows a
+    tree for or looks up against.
     """
     return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
@@ -454,7 +461,7 @@ def model_digest(model: DiagnosisModel) -> bytes:
     """32-byte content hash of the model's canonical JSON form.
 
     Compiled artifacts embed this digest so stale tables and trees can be
-    detected at load time.
+    detected at load time.  The model is frozen, so the hash is computed on
+    the first call and read from the model on every later one.
     """
-    canonical = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).digest()
+    return model.digest

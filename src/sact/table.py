@@ -20,7 +20,9 @@ count with :func:`~sact.niv.table_niv` and build a
 The compiler enumerates every assignment of a chosen evidence subset, decides
 each with the threshold rule, and packs the decisions into a bit array whose
 index convention matches the exact oracle's: bit i of the index (least
-significant first) is the truth value of ``subset[i]``.
+significant first) is the truth value of ``subset[i]``.  It enumerates them
+in blocks of 2 ** :data:`BLOCK_ITEMS` assignments, so its working sums do not
+grow with the table.
 
 Selection is hill-climbing: starting from the empty subset, each step values
 every remaining item as if it were the last one added and keeps the best
@@ -43,7 +45,6 @@ from .exact import (
     check_enumeration_cap,
     compose_ev,
     resolve_subset,
-    weight_sums,
 )
 from .model import (
     Action,
@@ -57,6 +58,9 @@ from .niv import Method, NivReport, TablePolicy, finite, niv, outranks, table_ni
 
 DEFAULT_TABLE_CAP = 25
 DEFAULT_SEARCH_CAP = 15
+# compile_table enumerates the weight sums of a subset's first BLOCK_ITEMS
+# items once and the rest one block of those 2^BLOCK_ITEMS entries at a time.
+BLOCK_ITEMS = 14
 
 MAGIC = b"SACT"
 FORMAT_VERSION = 1
@@ -413,19 +417,59 @@ def compile_table(
     """Precompute the action for every assignment of the subset.
 
     A bit is set exactly when the assignment's weight sum reaches the
-    threshold, so lookups reproduce the threshold rule verbatim.
+    threshold, so lookups reproduce the threshold rule verbatim.  The weight
+    sums of the first k = :data:`BLOCK_ITEMS` items are computed once; the
+    remaining items are walked depth first, each level one add of an item's
+    weight to the level above, and each leaf, a block of 2^k sums, writes
+    its bits at byte offset block * 2^k / 8.  Every sum is the same left to
+    right sequence of adds as enumerating the whole subset, so the bits are
+    identical.  A subset of at most k items is one block, and so is any
+    subset if 2^k is below 8, as a block must fill whole bytes.  The sums
+    and the bits together must fit the memory budget.
     """
     if len(subset) > cap:
         raise CapExceededError(
             f"subset of {len(subset)} items exceeds the table cap of {cap}"
         )
-    weights = weight_sums(model, subset)
-    thr = threshold(model.utilities, model.p_h)
-    bits = np.packbits(weights >= thr.w_star, bitorder="little").tobytes()
+    items = resolve_subset(model, subset)
+    # Blocks of 2^k entries, each at least a byte of bits, so that no two
+    # blocks share a packed byte.
+    k = min(len(items), BLOCK_ITEMS) if BLOCK_ITEMS >= 3 else len(items)
+    rest = items[k:]
+    table_bytes = ((1 << len(items)) + 7) >> 3
+    exact.check_budget(((len(rest) + 1) * 8 << k) + table_bytes, f"a table of {len(items)} items")
+    w_star = threshold(model.utilities, model.p_h).w_star
+    # levels[0] holds the weight sums of the first k items, doubled in place
+    # as exact.extend doubles a prefix; levels[d] adds d more items, one
+    # branch each.
+    levels = np.empty((len(rest) + 1, 1 << k))
+    levels[0, 0] = 0.0
+    for i, item in enumerate(items[:k]):
+        (_, _, w1), (_, _, w0) = item.record.branches
+        np.add(levels[0, : 1 << i], w1, out=levels[0, 1 << i : 2 << i])
+        np.add(levels[0, : 1 << i], w0, out=levels[0, : 1 << i])
+    acts = np.empty(1 << k, bool)
+    bits = np.empty(table_bytes, np.uint8)
+    width = len(acts) >> 3 or table_bytes
+
+    # Depth first: a node at depth d writes levels[d] from its parent's
+    # levels[d - 1], which no other node writes before the node's subtree is
+    # done.  Bit d - 1 of its block index is the branch of item k + d - 1.
+    stack = [(0, 0)]
+    while stack:
+        depth, block = stack.pop()
+        if depth:
+            (_, _, w1), (_, _, w0) = rest[depth - 1].record.branches
+            np.add(levels[depth - 1], w1 if block >> depth - 1 & 1 else w0, out=levels[depth])
+        if depth < len(rest):
+            stack += [(depth + 1, block | 1 << depth), (depth + 1, block)]
+        else:
+            np.greater_equal(levels[depth], w_star, out=acts)
+            bits[block * width : (block + 1) * width] = np.packbits(acts, bitorder="little")
     return CompiledTable(
         subset=tuple(subset),
-        action_bits=bits,
-        w_star_used=thr.w_star,
+        action_bits=bits.tobytes(),
+        w_star_used=w_star,
         model_digest=model_digest(model),
     )
 

@@ -232,6 +232,24 @@ def from_scratch_evaluation(model: DiagnosisModel, subset):
     return compose_ev(model, p_act_h, p_act_nh), p_act_h, p_act_nh
 
 
+def gathered_act_probabilities(arrays, branches, w_star):
+    """(P(act|H), P(act|not-H)) of a prefix's arrays plus one item, with the
+    acting probabilities gathered whole: one array of every acting entry,
+    the item's false branch first, and one numpy sum each.
+
+    ``arrays`` are the prefix's weight sums and probabilities and
+    ``branches`` the item's (P(E|H), P(E|not-H), weight) for E true, then
+    false.  The streamed kernel must match it bit for bit.
+    """
+    weights, p_given_h, p_given_nh = arrays
+    (a1, b1, w1), (a0, b0, w0) = branches
+    low = weights + w0 >= w_star
+    high = weights + w1 >= w_star
+    acting_h = np.concatenate([p_given_h[low] * a0, p_given_h[high] * a1])
+    acting_nh = np.concatenate([p_given_nh[low] * b0, p_given_nh[high] * b1])
+    return float(acting_h.sum()), float(acting_nh.sum())
+
+
 def from_scratch_gaussian(model: DiagnosisModel, subset):
     """(ev, P(act|H), P(act|not-H)) of the normal approximation, from scratch:
     each item's moments summed left to right over the subset, then the two

@@ -24,8 +24,8 @@ from sact.exact import (
     act_probabilities,
     empty_prefix,
     extend,
+    pairwise_sum,
     subtree_probabilities,
-    weight_sums,
 )
 from sact.table import DEFAULT_TABLE_CAP
 
@@ -33,6 +33,7 @@ from helpers import (
     brute_force_evaluation,
     concatenated_arrays,
     from_scratch_evaluation,
+    gathered_act_probabilities,
     identity_models,
     m1,
     make_model,
@@ -228,6 +229,74 @@ class TestPrefixKernelBitIdentity:
             assert exhaustive_subset_search(model) == best
 
 
+def leaf_tree_sum(values: np.ndarray) -> float:
+    """``pairwise_sum`` of ``values``, each leaf summed by ``np.add.reduce``."""
+    taken = 0
+
+    def leaf(count):
+        nonlocal taken
+        taken += count
+        return np.add.reduce(values[taken - count : taken])
+
+    total = pairwise_sum(leaf, len(values))
+    assert taken == len(values)
+    return float(total)
+
+
+class TestStreamedValuation:
+    """The valuation gathers and sums its acting probabilities leaf by leaf,
+    along numpy's pairwise tree; the floats must be those of one numpy sum
+    over the whole gathered sequence."""
+
+    @pytest.mark.parametrize("leaf", [128, 256, sact.exact.LEAF])
+    def test_the_leaf_tree_sum_is_numpys_sum(self, leaf, monkeypatch):
+        monkeypatch.setattr(sact.exact, "LEAF", leaf)
+        rng = np.random.default_rng(241)
+        values = 10.0 ** rng.uniform(-300, 0, 3 * leaf + 17)
+        for n in [0, 7, 8, 127, 128, 129, *range(leaf - 1, 3 * leaf + 18)]:
+            assert leaf_tree_sum(values[:n]) == float(np.add.reduce(values[:n])), n
+
+    @staticmethod
+    def cases():
+        """(model, w_star) pairs: the tie models at their own threshold, and
+        random models at theirs and at minus and plus infinity (every and no
+        assignment acts)."""
+        rng = random.Random(251)
+        cases = [(model, threshold(model.utilities, model.p_h).w_star) for model in tie_models()]
+        for m in (3, 9, 12):
+            model = random_model(rng, m)
+            for w_star in (threshold(model.utilities, model.p_h).w_star, -np.inf, np.inf):
+                cases.append((model, w_star))
+        return cases
+
+    @pytest.mark.parametrize("block, leaf", [(16, 128), (64, 256), (1 << 10, 128)])
+    def test_small_blocks_equal_the_gathered_sum(self, block, leaf, monkeypatch):
+        # Prefixes of up to 2^11 entries: many blocks, and up to 2^12
+        # acting entries over many leaves.
+        monkeypatch.setattr(sact.exact, "BLOCK", block)
+        monkeypatch.setattr(sact.exact, "LEAF", leaf)
+        for model, w_star in self.cases():
+            prefix = empty_prefix(len(model.evidence))
+            for item in model.evidence:
+                expected = gathered_act_probabilities(prefix.arrays, item.record.branches, w_star)
+                assert act_probabilities(prefix, item, w_star) == expected
+                extend(prefix, item)
+
+    def test_prefixes_that_straddle_a_block_equal_the_gathered_sum(self):
+        # Prefixes of BLOCK / 2 to 2 * BLOCK entries at the default sizes.
+        size = sact.exact.BLOCK.bit_length() - 1
+        model = make_model([(0.7, 0.3)] * (size + 1) + [(0.6, 0.45)], p_h=0.45)
+        w_star = threshold(model.utilities, model.p_h).w_star
+        prefix = empty_prefix(size + 1)
+        for k, item in enumerate(model.evidence):
+            if k >= size - 1:
+                for w in (w_star, -np.inf):
+                    expected = gathered_act_probabilities(prefix.arrays, item.record.branches, w)
+                    assert act_probabilities(prefix, item, w) == expected
+            if k <= size:
+                extend(prefix, item)
+
+
 class TestExhaustiveLevels:
     """Exhaustive search walks large subtrees and values small ones level by
     level, below ``sact.exact.SUBTREE_ENTRIES``: every split between the two
@@ -319,38 +388,33 @@ def traced_peak(call) -> int:
 
 class TestMemory:
     # One unit is a float64 array over 2^17 assignments, half the n = 18
-    # subset.  The kernel builds the three arrays of the first 17 items and
-    # gathers the acting probabilities of the last item into one array;
-    # enumerating all 18 items' arrays took about 9 units.
+    # subset.
     UNIT = 8 * (1 << 17)
-    # A float64 array over all 2^18 assignments of the n = 18 subset.
-    FULL = 8 * (1 << 18)
 
     @pytest.mark.parametrize("p_h", [0.5, 0.999])
     def test_exact_ev_subset_peak_at_n_18(self, p_h):
         # At p_h = 0.5 about half the assignments act; at 0.999 all of them
-        # do, the largest gather.
+        # do.  The kernel holds the three arrays of the first 17 items (3
+        # units) and two boolean masks over them (1/4), and gathers and sums
+        # the acting probabilities one leaf at a time: 3.48 and 3.51 units
+        # measured.  Gathering them whole took 4.75 and 6.18.
         model = make_model([(0.7, 0.3)] * 17 + [(0.6, 0.45)], p_h=p_h)
         subset = [item.id for item in model.evidence]
-        assert traced_peak(lambda: exact_ev_subset(model, subset)) <= 7 * self.UNIT
-
-    def test_weight_sums_peak_at_n_18(self):
-        # The weight sums are extended in place in the one array returned;
-        # building each step's array anew took 2.5 arrays.
-        model = make_model([(0.7, 0.3)] * 17 + [(0.6, 0.45)])
-        subset = [item.id for item in model.evidence]
-        assert traced_peak(lambda: weight_sums(model, subset)) <= 1.25 * self.FULL
+        assert traced_peak(lambda: exact_ev_subset(model, subset)) <= 4.5 * self.UNIT
 
     def test_compile_table_peak_at_n_18(self):
-        # The weight sums plus the boolean decisions (1/8 of an array) and
-        # the packed bits (1/64).
+        # The weight sums of the first 14 items and of 1 to 4 more, five
+        # arrays of 2^14 entries (5/8 of a unit), one block's decisions and
+        # the 2^18 packed bits: 0.72 units measured.  Building all 2^18
+        # weight sums took 2.29.
         model = make_model([(0.7, 0.3)] * 17 + [(0.6, 0.45)])
         subset = [item.id for item in model.evidence]
-        assert traced_peak(lambda: compile_table(model, subset)) <= 1.25 * self.FULL
+        assert traced_peak(lambda: compile_table(model, subset)) <= 0.79 * self.UNIT
 
     def test_exhaustive_peak_at_m_15(self):
         # One prefix per depth 0 .. 14, three arrays of 2^depth entries each
-        # (0.75 MiB together), plus the gather of the one 15-item subset.
+        # (0.75 MiB together), plus the valuation of the one 15-item subset:
+        # its masks, one leaf per hypothesis and one block's acting positions.
         # A prefix of all 15 items would add 0.75 MiB that no subset uses.
         # The walk reaches the deepest prefixes last, after every subtree
         # valued level by level has freed its arrays.
@@ -372,6 +436,27 @@ class TestMemory:
         tracemalloc.start()
         try:
             exhaustive_subset_search(model)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            if collecting:
+                gc.enable()
+        assert held <= 8 << 10
+
+    def test_valuation_and_compile_free_their_buffers_on_return(self):
+        # With the cyclic collector off, nothing either call allocated
+        # outlives it: a reference cycle through the working arrays (a
+        # recursive closure, say) would hold them until the next collection.
+        model = make_model([(0.7, 0.3)] * 16 + [(0.6, 0.45)])
+        ids = [item.id for item in model.evidence]
+        exact_ev_subset(model, ids)  # untraced first, as above
+        compile_table(model, ids)
+        collecting = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            exact_ev_subset(model, ids)
+            compile_table(model, ids)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -414,6 +499,14 @@ class TestMemoryBudget:
             from_scratch_evaluation(model, ids)
         )
 
+    def test_a_table_over_the_budget_is_refused_before_it_is_reserved(self, small_budget):
+        model = make_model([(0.7, 0.3)] * 6)
+        with pytest.raises(CapExceededError) as excinfo:
+            compile_table(model, [item.id for item in model.evidence])
+        assert str(excinfo.value) == (
+            "a table of 6 items would reserve 520 bytes, above the memory budget of 384 bytes"
+        )
+
     def test_a_prefix_over_the_budget_is_refused_before_it_is_reserved(self, small_budget):
         with pytest.raises(CapExceededError) as excinfo:
             empty_prefix(5)
@@ -429,7 +522,7 @@ class TestMemoryBudget:
             lambda: exact_ev_compute(model),
             lambda: exhaustive_subset_search(model),
             lambda: greedy_select(model),
-            # The weight sums alone: one buffer of 2^6 entries, 512 bytes.
+            # One block of 2^6 weight sums, 512 bytes, and 8 bytes of bits.
             lambda: compile_table(model, ids),
         ):
             with pytest.raises(CapExceededError, match="memory budget"):
@@ -458,6 +551,10 @@ class TestMemoryBudget:
     def test_the_default_caps_fit_the_budget(self):
         # Valuing a subset at the enumeration cap reserves the three arrays
         # of its first cap - 1 items; compiling at the table cap reserves
-        # the weight sums of all its items.
+        # less than the weight sums of all its items: the sums of its first
+        # BLOCK_ITEMS items and of one branch of each later one, and the
+        # bits.
         assert 3 * 8 << (sact.exact.DEFAULT_ENUMERATION_CAP - 1) <= sact.exact.MEMORY_BUDGET
         assert 8 << DEFAULT_TABLE_CAP <= sact.exact.MEMORY_BUDGET
+        blocks = (DEFAULT_TABLE_CAP - sact.table.BLOCK_ITEMS + 1) * 8 << sact.table.BLOCK_ITEMS
+        assert blocks + (1 << DEFAULT_TABLE_CAP - 3) <= 8 << DEFAULT_TABLE_CAP

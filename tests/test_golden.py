@@ -10,6 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import sact.exact
+import sact.table
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.txt"
 
@@ -22,6 +25,20 @@ def load_tool():
 
 
 def test_outputs_match_the_golden_manifest():
+    check_manifest()
+
+
+def test_the_smallest_blocks_give_the_same_manifest(monkeypatch):
+    # Every valuation of more than 16 prefix entries then spans several
+    # blocks, every one of more than 128 acting entries several leaves, and
+    # every table of more than 3 items several blocks of bits.
+    monkeypatch.setattr(sact.exact, "BLOCK", 16)
+    monkeypatch.setattr(sact.exact, "LEAF", 128)
+    monkeypatch.setattr(sact.table, "BLOCK_ITEMS", 3)
+    check_manifest()
+
+
+def check_manifest():
     golden = load_tool()
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
     if expected[0] != golden.header():

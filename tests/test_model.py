@@ -24,6 +24,7 @@ from sact import (
     model_from_dict,
     model_from_json,
     model_to_dict,
+    model_to_json,
     optimal_action,
     posterior_odds,
     threshold,
@@ -379,6 +380,24 @@ class TestModelJson:
         assert len(a) == 32
         assert a == model_digest(m1())
         assert a != model_digest(make_model([(0.8, 0.3)]))
+
+    def test_digest_is_computed_once_per_model(self, monkeypatch):
+        # The model is frozen, so its digest is hashed on the first call and
+        # read back after: compile_table and build_tree on one model, as
+        # analyze runs them, hash it once, and the stored digest is a fresh
+        # digest of the same model.
+        model = make_model([(0.8, 0.2), (0.7, 0.35), (0.6, 0.45)])
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        table = compile_table(model, ["e1", "e2"])
+        tree, _ = build_tree(model)
+        assert len(hashed) == 1
+        assert table.model_digest is tree.model_digest is model_digest(model)
+        canonical = json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":"))
+        assert model_digest(model) == sha256(canonical.encode("utf-8")).digest()
+        assert model_digest(model) == model_digest(model_from_json(model_to_json(model)))
+        assert len(hashed) == 2
 
     def test_canonical_form_is_pinned(self):
         # Every table and tree embeds this digest, so a change to the canonical
