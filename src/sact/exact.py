@@ -20,25 +20,30 @@ leaf of at most :data:`LEAF` at a time, along numpy's own pairwise tree
 P(E | not-H), weight) for E true and for E false, from its record, computed
 once, on first read (:attr:`~sact.model.EvidenceVariable.record`).
 :mod:`sact.table` values every subset through this kernel, extending one
-prefix; exhaustive search also values each small subtree of subsets level
-by level, all subsets of one size at once (:func:`subtree_probabilities`).
-Every weight sum is still accumulated left to right over the subset, and
-every probability sum rounds as numpy's sum of the whole acting sequence,
-so all results are bit-identical to enumerating each subset from scratch.
+prefix.  Where the arrays are small (:func:`fits`), a greedy step values
+all its candidates on the shared prefix at once (:func:`step_probabilities`),
+and exhaustive search values each small subtree of subsets level by level,
+all subsets of one size at once (:func:`subtree_probabilities`); both gather
+and sum a level through :func:`level_probabilities`.  Every weight sum is
+still accumulated left to right over the subset, and every probability sum
+rounds as numpy's sum of the whole acting sequence, so all results are
+bit-identical to enumerating each subset from scratch.
 
 Peak memory (tracemalloc, n = 18, in float64 arrays of 2^17 entries):
 valuing a subset of n items holds the three arrays of its first n - 1
 items, two boolean masks over them (1/4 of an array) and one leaf of
 gathered probabilities per hypothesis, 3.5 of those arrays whatever share
 of the assignments acts; gathering the acting probabilities whole took 4.8
-to 6.2.  A subtree valued level by level holds at most
-:data:`SUBTREE_BYTES` per entry (20 to 50 measured).  The pages of a buffer
+to 6.2.  A subtree valued level by level, or a greedy step valued at
+once, holds at most :data:`SUBTREE_BYTES` per entry (20 to 50 and 49 to 54
+measured).  The pages of a buffer
 that a run never reaches are never touched, so they do not count toward
 resident memory.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -53,8 +58,8 @@ DEFAULT_ENUMERATION_CAP = 25
 # selection or a 25-item valuation.
 MEMORY_BUDGET = 1 << 30
 
-# The most entries a search subtree may hold to be valued level by level
-# (:func:`subtree_fits`), and the most bytes that valuation holds per entry.
+# The most entries a search subtree or a greedy step may hold to be valued
+# at once (:func:`fits`), and the most bytes that valuation holds per entry.
 SUBTREE_ENTRIES = 1 << 14
 SUBTREE_BYTES = 64
 
@@ -235,16 +240,80 @@ def act_probabilities(
     return p_act_h, p_act_nh
 
 
+def fits(entries: int) -> bool:
+    """Whether arrays of ``entries`` entries in all may be valued at once
+    (:func:`step_probabilities`, :func:`subtree_probabilities`): at most
+    :data:`SUBTREE_ENTRIES`, and :data:`SUBTREE_BYTES` of them each within
+    the memory budget."""
+    return entries <= SUBTREE_ENTRIES and entries * SUBTREE_BYTES <= MEMORY_BUDGET
+
+
 def subtree_fits(size: int, items: int) -> bool:
     """Whether :func:`subtree_probabilities` values the extensions of a
     prefix of ``size`` items by any of ``items`` more.
 
     The subtree holds 2^size * 3^items entries in all, 2^n for each subset of
-    n items; at most :data:`SUBTREE_ENTRIES` of them, and their bytes within
-    the memory budget.
+    n items.
     """
-    entries = 3**items << size
-    return entries <= SUBTREE_ENTRIES and entries * SUBTREE_BYTES <= MEMORY_BUDGET
+    return fits(3**items << size)
+
+
+def branch_array(items: Sequence[EvidenceVariable]) -> np.ndarray:
+    """Per item and branch, false first: (P(E | H), P(E | not-H), weight).
+
+    Read from the records into an array of shape (len(items), 2, 3) without
+    the nested temporaries of ``np.array``, which take twice its bytes.
+    """
+    flat = chain.from_iterable(chain.from_iterable(item.record.branches for item in items))
+    return np.fromiter(flat, float, 6 * len(items)).reshape(-1, 2, 3)[:, ::-1]
+
+
+def level_probabilities(
+    level_w: np.ndarray, level_p: np.ndarray, w_star: float
+) -> Iterator[tuple[float, float]]:
+    """P(act | H) and P(act | not-H) of each row of a level of subsets.
+
+    ``level_w[row]`` holds a subset's weight sums and ``level_p[:, row]`` its
+    probabilities under H and not-H, as :func:`extend` would write them.  The
+    acting probabilities of every row are gathered into one array per
+    hypothesis, row after row, and each row's slice is summed on its own: the
+    same values in the same order as :func:`act_probabilities` sums, each in
+    a contiguous array, so numpy's pairwise sum rounds them the same way.
+    Yields one pair per row, holding only the gathered probabilities.
+    """
+    acting = level_w >= w_star
+    counts = acting.sum(axis=1).tolist()
+    gathered = level_p.reshape(2, -1).compress(acting.ravel(), axis=1)
+    del level_w, level_p, acting
+    reduce = np.add.reduce
+    end = 0
+    for count in counts:
+        start, end = end, end + count
+        p_act_h, p_act_nh = reduce(gathered[:, start:end], axis=1).tolist()
+        yield p_act_h, p_act_nh
+
+
+def step_probabilities(
+    prefix: Prefix, items: Sequence[EvidenceVariable], w_star: float
+) -> Iterator[tuple[float, float]]:
+    """:func:`act_probabilities` of the prefix plus each of ``items``, all at once.
+
+    The extended arrays of every item are built side by side, len(items) *
+    2^(size + 1) entries, in one broadcast add of the weights and one
+    multiply per hypothesis, the false half first, as :func:`extend` writes
+    them, and valued by :func:`level_probabilities`: the floats of
+    :func:`act_probabilities`, bit for bit.  The caller checks that they
+    :func:`fits`.
+    """
+    branches = branch_array(items).transpose(2, 0, 1)
+    weights, p_given_h, p_given_nh = prefix.arrays
+    level_w = np.add(weights, branches[2, ..., None])
+    level_p = np.empty((2, *level_w.shape))
+    np.multiply(p_given_h, branches[0, ..., None], out=level_p[0])
+    np.multiply(p_given_nh, branches[1, ..., None], out=level_p[1])
+    return level_probabilities(
+        level_w.reshape(len(items), -1), level_p.reshape(2, len(items), -1), w_star
+    )
 
 
 def subtree_probabilities(
@@ -256,19 +325,13 @@ def subtree_probabilities(
     Yields ``(subset, (p_act_h, p_act_nh))``, the subset's ids in model order,
     one level of subset size at a time.  Each level's arrays are built from
     the level above in one broadcast add of the weights and one multiply of
-    the probabilities, the false half first, as :func:`extend` writes them.
-    The acting probabilities of the whole level are then gathered into one
-    array per hypothesis, subset after subset, and each subset's slice is
-    summed on its own: the same values in the same order as
-    :func:`act_probabilities` sums, each in a contiguous array, so numpy's
-    pairwise sum rounds them the same way.
+    the probabilities, the false half first, as :func:`extend` writes them,
+    and valued by :func:`level_probabilities`.
     """
-    # Per item and branch, false first: (P(E | H), P(E | not-H), weight).
-    branches = np.array([item.record.branches for item in items]).reshape(-1, 2, 3)[:, ::-1]
+    branches = branch_array(items)
     weights = branches[:, :, 2]
     factors = branches[:, :, :2].transpose(2, 0, 1)
     added_ids = [(item.id,) for item in items]
-    reduce = np.add.reduce
     # One row per subset of the level: level_w[row] and level_p[hypothesis, row].
     level_w = prefix.arrays[0][None]
     level_p = np.stack(prefix.arrays[1:])[:, None]
@@ -285,13 +348,7 @@ def subtree_probabilities(
         level_w = level_w.reshape(len(pairs), -1)
         level_p = np.multiply(level_p[:, parents][:, :, None], factors[:, lasts][..., None])
         level_p = level_p.reshape(2, len(pairs), -1)
-        acting = level_w >= w_star
-        counts = np.count_nonzero(acting, axis=1).tolist()
-        acting_h, acting_nh = level_p[:, acting]
-        end = 0
-        for subset, count in zip(subsets, counts):
-            start, end = end, end + count
-            yield subset, (float(reduce(acting_h[start:end])), float(reduce(acting_nh[start:end])))
+        yield from zip(subsets, level_probabilities(level_w, level_p, w_star))
 
 
 def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: float) -> float:

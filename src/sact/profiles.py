@@ -226,7 +226,7 @@ def loss_curve(
             f"profile has {len(realized)} items, above the enumeration cap of "
             f"{enum_cap}; use method='gaussian'"
         )
-    evaluate = _evaluator(model, method, len(ranking), enum_cap)
+    evaluate, _ = _evaluator(model, method, len(ranking), enum_cap)
     values = [compose_ev(model, *evaluate(ranking, n)) for n in range(len(ranking) + 1)]
     ev_compute = values[-1]
     if normalization == "relative-to-compute":

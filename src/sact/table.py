@@ -5,8 +5,10 @@ P(act | H) and P(act | not-H) through the chosen method's prefix kernel
 (:mod:`sact.exact` or :mod:`sact.gaussian`), and callers compose the
 expected value with :func:`~sact.exact.compose_ev`.  The exact and Gaussian
 valuations of one subset, greedy selection and loss curves all go through
-it; exhaustive search walks its own tree of prefixes, because it branches,
-and values each small subtree of it level by level
+it; a greedy step values all its candidates on the prefix it has chosen,
+at once when their arrays are small (:func:`~sact.exact.step_probabilities`).
+Exhaustive search walks its own tree of prefixes, because it branches, and
+values each small subtree of it level by level
 (:func:`~sact.exact.subtree_probabilities`), holding at most one such
 subtree's arrays and one prefix per depth.
 Greedy selection records the probabilities of each step it accepts on the
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -150,14 +152,18 @@ class SelectionTrace:
 
 def _evaluator(
     model: DiagnosisModel, method: Method, largest: int, enum_cap: int = DEFAULT_ENUMERATION_CAP
-) -> Callable[..., tuple[float, float]]:
-    """P(act | H) and P(act | not-H) of a subset, through ``method``'s prefix kernel.
+) -> tuple[Callable[..., tuple[float, float]], Callable[..., Iterator[tuple[float, float]]]]:
+    """P(act | H) and P(act | not-H) of subsets, through ``method``'s prefix kernel.
 
-    ``evaluate(subset, n)`` values the leading ``n`` items of ``subset`` (all
-    of them by default), so a caller valuing every prefix of one ranking
-    passes the ranking itself and copies nothing.  Callers only append to
-    the subsets they value, so the prefix kept from the last call is
-    extended, never rebuilt.  Every weight or moment sum is still
+    Returns ``(evaluate, step)``.  ``evaluate(subset, n)`` values the
+    leading ``n`` items of ``subset`` (all of them by default), so a caller
+    valuing every prefix of one ranking passes the ranking itself and copies
+    nothing.  ``step(subset, n, lasts)`` values the leading ``n`` items of
+    ``subset`` followed by each of ``lasts``, one pair per last item: the
+    exact kernel values them all at once on the shared prefix when their
+    arrays :func:`~sact.exact.fits`, with the same floats.  Callers only
+    append to the subsets they value, so the prefix kept from the last call
+    is extended, never rebuilt.  Every weight or moment sum is still
     accumulated left to right over the subset.  No subset the caller values
     has more than ``largest`` items, so the exact prefix (a subset without
     its last item) is reserved once, for ``min(largest, enum_cap) - 1``.
@@ -174,26 +180,33 @@ def _evaluator(
         prefix = gaussian.empty_prefix()
     built = 0
 
-    def evaluate(subset: Sequence[str], n: int | None = None) -> tuple[float, float]:
+    def step(subset: Sequence[str], n: int, lasts: Sequence[str]) -> Iterator[tuple[float, float]]:
         nonlocal built
-        if n is None:
-            n = len(subset)
-        if method == "exact" and n > enum_cap:
+        if method == "exact" and n + 1 > enum_cap:
             raise CapExceededError(
-                f"exact evaluation of {n} items exceeds the enumeration "
+                f"exact evaluation of {n + 1} items exceeds the enumeration "
                 f"cap of {enum_cap}; switch to method='gaussian'"
             )
+        # Extended lazily, so the prefix is not extended past the last step.
+        for i in range(built, n):
+            kernel.extend(prefix, lookup[subset[i]])
+        built = n
+        items = [lookup[last] for last in lasts]
+        if kernel is exact and exact.fits(len(items) << n + 1):
+            return exact.step_probabilities(prefix, items, w_star)
+        return (kernel.act_probabilities(prefix, item, w_star) for item in items)
+
+    def evaluate(subset: Sequence[str], n: int | None = None) -> tuple[float, float]:
+        if n is None:
+            n = len(subset)
         if not n:
             # The lone empty assignment sums to 0 with probability 1.
             p_act = float(0.0 >= w_star)
             return p_act, p_act
-        # Extended lazily, so the prefix is not extended past the last step.
-        for i in range(built, n - 1):
-            kernel.extend(prefix, lookup[subset[i]])
-        built = n - 1
-        return kernel.act_probabilities(prefix, lookup[subset[n - 1]], w_star)
+        [p_act] = step(subset, n - 1, subset[n - 1 : n])
+        return p_act
 
-    return evaluate
+    return evaluate, step
 
 
 def _valuation(
@@ -210,7 +223,8 @@ def _valuation(
     """
     recorded = model.valuation_record.get((method, tuple(subset)))
     if recorded is None:
-        recorded = _evaluator(model, method, n, enum_cap)(subset)
+        evaluate, _ = _evaluator(model, method, n, enum_cap)
+        recorded = evaluate(subset)
     return recorded
 
 
@@ -356,6 +370,8 @@ def greedy_select(
     prefix seen is kept.  A NIV that is not finite is refused with
     :class:`DomainError`.
 
+    Each step values every remaining candidate on the prefix chosen so far,
+    all of them at once when their arrays fit (:func:`~sact.exact.fits`).
     The (P(act | H), P(act | not-H)) of each accepted step is written to
     ``model.valuation_record``, so valuing the returned subset afterwards
     reads it instead of enumerating it again.
@@ -365,7 +381,7 @@ def greedy_select(
     remaining = [item.id for item in model.evidence]
     # Rejects a model that repeats an id, as valuing a subset of it would.
     resolve_subset(model, remaining)
-    evaluate = _evaluator(model, method, min(len(remaining), table_cap), enum_cap)
+    evaluate, step = _evaluator(model, method, min(len(remaining), table_cap), enum_cap)
     chosen: list[str] = []
     record = model.valuation_record
 
@@ -382,11 +398,9 @@ def greedy_select(
             break
         # (niv, ev, id, (P(act | H), P(act | not-H)))
         best_candidate: tuple[float, float, str, tuple[float, float]] | None = None
-        for evidence_id in remaining:
-            candidate = chosen + [evidence_id]
-            p_act = evaluate(candidate)
+        for evidence_id, p_act in zip(remaining, step(chosen, len(chosen), remaining)):
             ev = compose_ev(model, *p_act)
-            value = table_niv(model, len(candidate), ev)
+            value = table_niv(model, len(chosen) + 1, ev)
             if outranks(value, ev, evidence_id, best_candidate):
                 best_candidate = (value, ev, evidence_id, p_act)
         assert best_candidate is not None
@@ -424,8 +438,9 @@ def compile_table(
     its bits at byte offset block * 2^k / 8.  Every sum is the same left to
     right sequence of adds as enumerating the whole subset, so the bits are
     identical.  A subset of at most k items is one block, and so is any
-    subset if 2^k is below 8, as a block must fill whole bytes.  The sums
-    and the bits together must fit the memory budget.
+    subset if 2^k is below 8, as a block must fill whole bytes.  The sums,
+    the bits and the returned copy of them must fit the memory budget
+    together.
     """
     if len(subset) > cap:
         raise CapExceededError(
@@ -437,7 +452,10 @@ def compile_table(
     k = min(len(items), BLOCK_ITEMS) if BLOCK_ITEMS >= 3 else len(items)
     rest = items[k:]
     table_bytes = ((1 << len(items)) + 7) >> 3
-    exact.check_budget(((len(rest) + 1) * 8 << k) + table_bytes, f"a table of {len(items)} items")
+    # The sums, the bits and their copy as bytes, which coexist at the end.
+    exact.check_budget(
+        ((len(rest) + 1) * 8 << k) + 2 * table_bytes, f"a table of {len(items)} items"
+    )
     w_star = threshold(model.utilities, model.p_h).w_star
     # levels[0] holds the weight sums of the first k items, doubled in place
     # as exact.extend doubles a prefix; levels[d] adds d more items, one

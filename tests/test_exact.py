@@ -25,9 +25,10 @@ from sact.exact import (
     empty_prefix,
     extend,
     pairwise_sum,
+    step_probabilities,
     subtree_probabilities,
 )
-from sact.table import DEFAULT_TABLE_CAP
+from sact.table import DEFAULT_TABLE_CAP, _evaluator
 
 from helpers import (
     brute_force_evaluation,
@@ -340,6 +341,107 @@ class TestExhaustiveLevels:
         assert valued == []
 
 
+def hexed(pairs) -> list:
+    """(P(act | H), P(act | not-H)) pairs by ``float.hex``."""
+    return [(p_h.hex(), p_nh.hex()) for p_h, p_nh in pairs]
+
+
+class TestGreedySteps:
+    """A greedy step values its candidates all at once on the shared prefix
+    when their arrays fit (``sact.exact.fits``, below
+    ``sact.exact.SUBTREE_ENTRIES``), and one by one above: both give the floats
+    of ``act_probabilities``, bit for bit."""
+
+    def test_a_step_equals_act_probabilities(self):
+        rng = random.Random(257)
+        models = tie_models() + [random_model(rng, m) for m in (1, 3, 9, 12, 14)]
+        for model in models:
+            items = list(model.evidence)
+            rng.shuffle(items)
+            for w_star in (threshold(model.utilities, model.p_h).w_star, -np.inf, np.inf):
+                prefix = empty_prefix(len(items))
+                for k, item in enumerate(items):
+                    candidates = items[k:]
+                    rng.shuffle(candidates)
+                    expected = [act_probabilities(prefix, c, w_star) for c in candidates]
+                    assert hexed(step_probabilities(prefix, candidates, w_star)) == hexed(expected)
+                    extend(prefix, item)
+
+    @pytest.mark.parametrize(
+        "size, count", [(10, 8), (10, 9), (12, 2), (13, 1), (13, 2), (0, 1 << 13), (0, 1 + (1 << 13))]
+    )
+    def test_steps_up_to_the_bound_are_valued_at_once(self, size, count, monkeypatch):
+        # count * 2^(size + 1) entries: at SUBTREE_ENTRIES, or one step over.
+        m = size + count
+        model = make_model([(0.55 + 0.4 * i / m, 0.45 - 0.3 * i / m) for i in range(m)], p_h=0.45)
+        ids = [item.id for item in model.evidence]
+        batched = count << size + 1 <= sact.exact.SUBTREE_ENTRIES
+        assert sact.exact.fits(count << size + 1) == batched
+        w_star = threshold(model.utilities, model.p_h).w_star
+        prefix = empty_prefix(size)
+        for item in model.evidence[:size]:
+            extend(prefix, item)
+        expected = [act_probabilities(prefix, c, w_star) for c in model.evidence[size:]]
+        calls = []
+
+        def counted(name):
+            kernel = getattr(sact.exact, name)
+
+            def call(*args):
+                calls.append(name)
+                return kernel(*args)
+
+            return call
+
+        for name in ("act_probabilities", "step_probabilities"):
+            monkeypatch.setattr(sact.exact, name, counted(name))
+        _, step = _evaluator(model, "exact", size + 1)
+        assert hexed(step(ids, size, ids[size:])) == hexed(expected)
+        assert calls == (["step_probabilities"] if batched else ["act_probabilities"] * count)
+
+    @staticmethod
+    def models():
+        rng = random.Random(263)
+        free = [(0.9 - 0.05 * i, 0.2 + 0.03 * i) for i in range(15)]
+        return (identity_models(239) + [random_model(rng, m) for m in range(11)]
+                + [make_model(free[:m], p_h=0.45) for m in (12, 15)])
+
+    @pytest.mark.parametrize("lookahead", [0, 1, 2])
+    @pytest.mark.parametrize("entries", [64, sact.exact.SUBTREE_ENTRIES, 1 << 30])
+    def test_greedy_steps_at_once_equal_one_by_one(self, entries, lookahead, monkeypatch):
+        def selected():
+            out = []
+            for model in self.models():
+                subset, trace = greedy_select(model, lookahead=lookahead)
+                steps = [(s.evidence_id, s.niv_before.hex(), s.niv_after.hex()) for s in trace.steps]
+                record = {key: hexed([p_act]) for key, p_act in model.valuation_record.items()}
+                out.append((subset, steps, trace.stopped_reason, trace.kept, record))
+            return out
+
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
+        one_by_one = selected()
+        assert max(len(steps) for _, steps, *_ in one_by_one) == 15
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        assert selected() == one_by_one
+
+    @pytest.mark.parametrize("entries", [0, sact.exact.SUBTREE_ENTRIES])
+    def test_a_step_over_the_enumeration_cap_values_nothing(self, entries, monkeypatch):
+        valued = []
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
+        monkeypatch.setattr(sact.exact, "step_probabilities", lambda *args: valued.append(args))
+        model = make_model([(0.6, 0.4)] * 6)
+        ids = [item.id for item in model.evidence]
+        _, step = _evaluator(model, "exact", 6, enum_cap=3)
+        with pytest.raises(CapExceededError) as excinfo:
+            step(ids, 3, ids[3:])
+        assert str(excinfo.value) == (
+            "exact evaluation of 4 items exceeds the enumeration cap of 3; "
+            "switch to method='gaussian'"
+        )
+        assert valued == []
+
+
 class TestCapMessages:
     def test_enumeration_cap_message(self):
         model = make_model([(0.6, 0.4)] * 5)
@@ -444,18 +546,23 @@ class TestMemory:
         assert held <= 8 << 10
 
     def test_valuation_and_compile_free_their_buffers_on_return(self):
-        # With the cyclic collector off, nothing either call allocated
-        # outlives it: a reference cycle through the working arrays (a
-        # recursive closure, say) would hold them until the next collection.
+        # With the cyclic collector off, nothing these calls allocated
+        # outlives them: a reference cycle through the working arrays (a
+        # recursive closure, say, or one that refers to the owner of greedy
+        # selection's 1.5 MB prefix) would hold them until the next
+        # collection.  A repeated greedy run only replaces the valuations
+        # the model records for its accepted steps.
         model = make_model([(0.7, 0.3)] * 16 + [(0.6, 0.45)])
         ids = [item.id for item in model.evidence]
         exact_ev_subset(model, ids)  # untraced first, as above
+        greedy_select(model)
         compile_table(model, ids)
         collecting = gc.isenabled()
         gc.disable()
         tracemalloc.start()
         try:
             exact_ev_subset(model, ids)
+            greedy_select(model)
             compile_table(model, ids)
             held = tracemalloc.get_traced_memory()[0]
         finally:
@@ -478,6 +585,25 @@ class TestMemory:
 
         value_all()
         entries = 3**items << size
+        assert traced_peak(value_all) <= sact.exact.SUBTREE_BYTES * entries
+
+    @pytest.mark.parametrize("size, count", [(13, 1), (10, 8), (6, 128), (2, 1 << 11), (0, 1 << 13)])
+    def test_a_step_at_the_bound_peak_per_entry(self, size, count):
+        # count * 2^(size + 1) = SUBTREE_ENTRIES entries, and every
+        # assignment acts (w_star = -inf), the largest gathers.
+        model = make_model([(0.7, 0.3)] * (size + count))
+        prefix = empty_prefix(size)
+        for item in model.evidence[:size]:
+            extend(prefix, item)
+        candidates = model.evidence[size:]
+        entries = count << size + 1
+        assert entries == sact.exact.SUBTREE_ENTRIES
+
+        def value_all():
+            for _ in step_probabilities(prefix, candidates, -np.inf):
+                pass
+
+        value_all()
         assert traced_peak(value_all) <= sact.exact.SUBTREE_BYTES * entries
 
 
@@ -504,7 +630,21 @@ class TestMemoryBudget:
         with pytest.raises(CapExceededError) as excinfo:
             compile_table(model, [item.id for item in model.evidence])
         assert str(excinfo.value) == (
-            "a table of 6 items would reserve 520 bytes, above the memory budget of 384 bytes"
+            "a table of 6 items would reserve 528 bytes, above the memory budget of 384 bytes"
+        )
+
+    def test_a_table_counts_its_sums_bits_and_bytes(self, monkeypatch):
+        # 2^5 weight sums of 8 bytes, 4 bytes of bits and their 4-byte copy.
+        model = make_model([(0.7, 0.3)] * 5)
+        ids = [item.id for item in model.evidence]
+        expected = compile_table(model, ids)
+        monkeypatch.setattr(sact.exact, "MEMORY_BUDGET", 264)
+        assert compile_table(model, ids) == expected
+        monkeypatch.setattr(sact.exact, "MEMORY_BUDGET", 263)
+        with pytest.raises(CapExceededError) as excinfo:
+            compile_table(model, ids)
+        assert str(excinfo.value) == (
+            "a table of 5 items would reserve 264 bytes, above the memory budget of 263 bytes"
         )
 
     def test_a_prefix_over_the_budget_is_refused_before_it_is_reserved(self, small_budget):
@@ -522,7 +662,8 @@ class TestMemoryBudget:
             lambda: exact_ev_compute(model),
             lambda: exhaustive_subset_search(model),
             lambda: greedy_select(model),
-            # One block of 2^6 weight sums, 512 bytes, and 8 bytes of bits.
+            # One block of 2^6 weight sums, 512 bytes, 8 bytes of bits and
+            # their 8-byte copy.
             lambda: compile_table(model, ids),
         ):
             with pytest.raises(CapExceededError, match="memory budget"):
@@ -552,9 +693,9 @@ class TestMemoryBudget:
         # Valuing a subset at the enumeration cap reserves the three arrays
         # of its first cap - 1 items; compiling at the table cap reserves
         # less than the weight sums of all its items: the sums of its first
-        # BLOCK_ITEMS items and of one branch of each later one, and the
-        # bits.
+        # BLOCK_ITEMS items and of one branch of each later one, the bits
+        # and their copy as bytes.
         assert 3 * 8 << (sact.exact.DEFAULT_ENUMERATION_CAP - 1) <= sact.exact.MEMORY_BUDGET
         assert 8 << DEFAULT_TABLE_CAP <= sact.exact.MEMORY_BUDGET
         blocks = (DEFAULT_TABLE_CAP - sact.table.BLOCK_ITEMS + 1) * 8 << sact.table.BLOCK_ITEMS
-        assert blocks + (1 << DEFAULT_TABLE_CAP - 3) <= 8 << DEFAULT_TABLE_CAP
+        assert blocks + 2 * (1 << DEFAULT_TABLE_CAP - 3) <= 8 << DEFAULT_TABLE_CAP

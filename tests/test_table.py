@@ -326,7 +326,11 @@ class TestPrefixKernelBitIdentity:
         # the full 2^n arrays, or on the moments summed over the subset.
         def from_scratch(model, method, largest, enum_cap):
             reference = from_scratch_evaluation if method == "exact" else from_scratch_gaussian
-            return lambda subset: reference(model, subset)[1:]
+
+            def step(subset, n, lasts):
+                return [reference(model, [*subset[:n], last])[1:] for last in lasts]
+
+            return (lambda subset: reference(model, subset)[1:]), step
 
         monkeypatch.setattr(sact.table, "_evaluator", from_scratch)
         again = [greedy_select(model, method=method, lookahead=lookahead) for model in models]
