@@ -20,25 +20,26 @@ leaf of at most :data:`LEAF` at a time, along numpy's own pairwise tree
 P(E | not-H), weight) for E true and for E false, from its record, computed
 once, on first read (:attr:`~sact.model.EvidenceVariable.record`).
 :mod:`sact.table` values every subset through this kernel, extending one
-prefix.  Where the arrays are small (:func:`fits`), a greedy step values
-all its candidates on the shared prefix at once (:func:`step_probabilities`),
-and exhaustive search values each small subtree of subsets level by level,
-all subsets of one size at once (:func:`subtree_probabilities`); both gather
-and sum a level through :func:`level_probabilities`.  Every weight sum is
-still accumulated left to right over the subset, and every probability sum
-rounds as numpy's sum of the whole acting sequence, so all results are
-bit-identical to enumerating each subset from scratch.
+prefix.  A search node (a greedy step, or a node that exhaustive search
+walks) values its prefix plus each of its candidate items with one
+:func:`child_probabilities` call: all at once on the shared prefix where
+the arrays are small (:func:`fits`), else one :func:`act_probabilities`
+each.  Exhaustive search values each small subtree of subsets level by
+level, all subsets of one size at once (:func:`subtree_probabilities`);
+both gather and sum a level through :func:`level_probabilities`.  Every
+weight sum is still accumulated left to right over the subset, and every
+probability sum rounds as numpy's sum of the whole acting sequence, so all
+results are bit-identical to enumerating each subset from scratch.
 
 Peak memory (tracemalloc, n = 18, in float64 arrays of 2^17 entries):
 valuing a subset of n items holds the three arrays of its first n - 1
 items, two boolean masks over them (1/4 of an array) and one leaf of
 gathered probabilities per hypothesis, 3.5 of those arrays whatever share
 of the assignments acts; gathering the acting probabilities whole took 4.8
-to 6.2.  A subtree valued level by level, or a greedy step valued at
-once, holds at most :data:`SUBTREE_BYTES` per entry (20 to 50 and 49 to 54
-measured).  The pages of a buffer
-that a run never reaches are never touched, so they do not count toward
-resident memory.
+to 6.2.  A subtree valued level by level, or a node's children valued
+at once, holds at most :data:`SUBTREE_BYTES` per entry (20 to 50 and 49 to
+54 measured).  The pages of a buffer that a run never reaches are never
+touched, so they do not count toward resident memory.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ DEFAULT_ENUMERATION_CAP = 25
 # selection or a 25-item valuation.
 MEMORY_BUDGET = 1 << 30
 
-# The most entries a search subtree or a greedy step may hold to be valued
-# at once (:func:`fits`), and the most bytes that valuation holds per entry.
+# The most entries a search subtree or a search node's children may hold to
+# be valued at once (:func:`fits`), and the most bytes that valuation holds
+# per entry.
 SUBTREE_ENTRIES = 1 << 14
 SUBTREE_BYTES = 64
 
@@ -242,20 +244,10 @@ def act_probabilities(
 
 def fits(entries: int) -> bool:
     """Whether arrays of ``entries`` entries in all may be valued at once
-    (:func:`step_probabilities`, :func:`subtree_probabilities`): at most
+    (:func:`child_probabilities`, :func:`subtree_probabilities`): at most
     :data:`SUBTREE_ENTRIES`, and :data:`SUBTREE_BYTES` of them each within
     the memory budget."""
     return entries <= SUBTREE_ENTRIES and entries * SUBTREE_BYTES <= MEMORY_BUDGET
-
-
-def subtree_fits(size: int, items: int) -> bool:
-    """Whether :func:`subtree_probabilities` values the extensions of a
-    prefix of ``size`` items by any of ``items`` more.
-
-    The subtree holds 2^size * 3^items entries in all, 2^n for each subset of
-    n items.
-    """
-    return fits(3**items << size)
 
 
 def branch_array(items: Sequence[EvidenceVariable]) -> np.ndarray:
@@ -293,27 +285,29 @@ def level_probabilities(
         yield p_act_h, p_act_nh
 
 
-def step_probabilities(
+def child_probabilities(
     prefix: Prefix, items: Sequence[EvidenceVariable], w_star: float
 ) -> Iterator[tuple[float, float]]:
-    """:func:`act_probabilities` of the prefix plus each of ``items``, all at once.
+    """:func:`act_probabilities` of the prefix plus each of ``items``, in order.
 
-    The extended arrays of every item are built side by side, len(items) *
-    2^(size + 1) entries, in one broadcast add of the weights and one
-    multiply per hypothesis, the false half first, as :func:`extend` writes
-    them, and valued by :func:`level_probabilities`: the floats of
-    :func:`act_probabilities`, bit for bit.  The caller checks that they
-    :func:`fits`.
+    When the extended arrays of every item, len(items) * 2^(size + 1)
+    entries, :func:`fits`, they are built side by side in one broadcast add
+    of the weights and one multiply per hypothesis, the false half first, as
+    :func:`extend` writes them, and valued by :func:`level_probabilities`:
+    the floats of :func:`act_probabilities`, bit for bit.  Otherwise each
+    item is valued by its own :func:`act_probabilities` call.
     """
-    branches = branch_array(items).transpose(2, 0, 1)
     weights, p_given_h, p_given_nh = prefix.arrays
+    if not fits(len(items) * 2 * len(weights)):
+        return (act_probabilities(prefix, item, w_star) for item in items)
+    branches = branch_array(items).transpose(2, 0, 1)
     level_w = np.add(weights, branches[2, ..., None])
     level_p = np.empty((2, *level_w.shape))
     np.multiply(p_given_h, branches[0, ..., None], out=level_p[0])
     np.multiply(p_given_nh, branches[1, ..., None], out=level_p[1])
-    return level_probabilities(
-        level_w.reshape(len(items), -1), level_p.reshape(2, len(items), -1), w_star
-    )
+    # Explicit row lengths: with no items, -1 would be ambiguous.
+    rows = (len(items), 2 * len(weights))
+    return level_probabilities(level_w.reshape(rows), level_p.reshape(2, *rows), w_star)
 
 
 def subtree_probabilities(

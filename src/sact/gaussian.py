@@ -10,13 +10,16 @@ This is the Gaussian prefix kernel.  A prefix is the four running sums of
 its items' weight moments, each read from the item's record
 (:attr:`~sact.model.EvidenceVariable.record`, derived by
 :func:`~sact.model.item_record`).  :func:`act_probabilities` values the
-prefix plus one trailing item with one :func:`gaussian_tail` per hypothesis.
-:mod:`sact.table` values every subset through this kernel.
+prefix plus one trailing item with one :func:`gaussian_tail` per hypothesis,
+and :func:`child_probabilities` the prefix plus each of several items, one
+:func:`act_probabilities` each.  :mod:`sact.table` values every subset
+through this kernel.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .model import EvidenceVariable
@@ -39,8 +42,9 @@ def low_n(n: int) -> bool:
 Prefix = list[float]
 
 
-def empty_prefix() -> Prefix:
-    """Moment sums of the empty subset."""
+def empty_prefix(size: int = 0) -> Prefix:
+    """Moment sums of the empty subset, for a prefix of up to ``size`` items
+    (four sums whatever the size)."""
     return [0.0, 0.0, 0.0, 0.0]
 
 
@@ -58,6 +62,13 @@ def act_probabilities(prefix: Prefix, item: EvidenceVariable, w_star: float) -> 
     """Gaussian P(act | H) and P(act | not-H) of the prefix plus one trailing item."""
     mean_h, var_h, mean_nh, var_nh = _plus(prefix, item)
     return gaussian_tail(mean_h, var_h, w_star), gaussian_tail(mean_nh, var_nh, w_star)
+
+
+def child_probabilities(
+    prefix: Prefix, items: Sequence[EvidenceVariable], w_star: float
+) -> Iterator[tuple[float, float]]:
+    """:func:`act_probabilities` of the prefix plus each of ``items``, in order."""
+    return (act_probabilities(prefix, item, w_star) for item in items)
 
 
 def normal_cdf(x: float) -> float:

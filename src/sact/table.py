@@ -5,12 +5,14 @@ P(act | H) and P(act | not-H) through the chosen method's prefix kernel
 (:mod:`sact.exact` or :mod:`sact.gaussian`), and callers compose the
 expected value with :func:`~sact.exact.compose_ev`.  The exact and Gaussian
 valuations of one subset, greedy selection and loss curves all go through
-it; a greedy step values all its candidates on the prefix it has chosen,
-at once when their arrays are small (:func:`~sact.exact.step_probabilities`).
+it.  Both searches value a node's children, the prefix plus each candidate
+item, with one call of the kernel's ``child_probabilities``: a greedy step
+on the prefix it has chosen, exhaustive search on each node it walks.
 Exhaustive search walks its own tree of prefixes, because it branches, and
 values each small subtree of it level by level
 (:func:`~sact.exact.subtree_probabilities`), holding at most one such
-subtree's arrays and one prefix per depth.
+subtree's or one node's children's arrays and the prefixes of the path to
+it.
 Greedy selection records the probabilities of each step it accepts on the
 model (``DiagnosisModel.valuation_record``), and the ``*_ev_subset``
 valuations read a recorded subset instead of valuing it again: the same
@@ -159,14 +161,15 @@ def _evaluator(
     leading ``n`` items of ``subset`` (all of them by default), so a caller
     valuing every prefix of one ranking passes the ranking itself and copies
     nothing.  ``step(subset, n, lasts)`` values the leading ``n`` items of
-    ``subset`` followed by each of ``lasts``, one pair per last item: the
-    exact kernel values them all at once on the shared prefix when their
-    arrays :func:`~sact.exact.fits`, with the same floats.  Callers only
-    append to the subsets they value, so the prefix kept from the last call
-    is extended, never rebuilt.  Every weight or moment sum is still
-    accumulated left to right over the subset.  No subset the caller values
-    has more than ``largest`` items, so the exact prefix (a subset without
-    its last item) is reserved once, for ``min(largest, enum_cap) - 1``.
+    ``subset`` followed by each of ``lasts``, one pair per last item, with
+    one call of the kernel's ``child_probabilities`` (the exact kernel
+    values them all at once when their arrays :func:`~sact.exact.fits`, with
+    the same floats).  Callers only append to the subsets they value, so the
+    prefix kept from the last call is extended, never rebuilt.  Every weight
+    or moment sum is still accumulated left to right over the subset.  No
+    subset the caller values has more than ``largest`` items, so the exact
+    prefix (a subset without its last item) is reserved once, for
+    ``min(largest, enum_cap) - 1``.
     """
     kernel = {"exact": exact, "gaussian": gaussian}.get(method)
     if kernel is None:
@@ -174,10 +177,7 @@ def _evaluator(
     lookup = model.evidence_map()
     w_star = threshold(model.utilities, model.p_h).w_star
     # The kernel's prefix of the subset's leading ``built`` items.
-    if kernel is exact:
-        prefix = exact.empty_prefix(max(min(largest, enum_cap) - 1, 0))
-    else:
-        prefix = gaussian.empty_prefix()
+    prefix = kernel.empty_prefix(max(min(largest, enum_cap) - 1, 0))
     built = 0
 
     def step(subset: Sequence[str], n: int, lasts: Sequence[str]) -> Iterator[tuple[float, float]]:
@@ -191,10 +191,7 @@ def _evaluator(
         for i in range(built, n):
             kernel.extend(prefix, lookup[subset[i]])
         built = n
-        items = [lookup[last] for last in lasts]
-        if kernel is exact and exact.fits(len(items) << n + 1):
-            return exact.step_probabilities(prefix, items, w_star)
-        return (kernel.act_probabilities(prefix, item, w_star) for item in items)
+        return kernel.child_probabilities(prefix, [lookup[last] for last in lasts], w_star)
 
     def evaluate(subset: Sequence[str], n: int | None = None) -> tuple[float, float]:
         if n is None:
@@ -275,13 +272,15 @@ def exhaustive_subset_search(
     id tuple.  Candidate subsets keep the model's evidence order.
 
     Each subset extends its parent by one later item and is valued on the
-    parent's arrays.  A subtree small enough for
-    :func:`~sact.exact.subtree_fits` is valued level by level by
+    parent's arrays.  A subtree whose arrays, 2^n entries for each subset of
+    n items, :func:`~sact.exact.fits` is valued level by level by
     :func:`~sact.exact.subtree_probabilities`, a few numpy calls per level;
-    larger ones are walked depth first, children last first.  The walk
-    reserves each depth's prefix when it first reaches that depth and
-    writes it from its parent's, so the deep prefixes of the first items,
-    reached last, never coexist with a level-by-level subtree.  The winner is
+    larger ones are walked depth first.  A walked node values all its
+    children with one :func:`~sact.exact.child_probabilities` call, then
+    reserves one child prefix, writes each child into it in turn, children
+    last first, and walks the child's subtree; the prefix is freed when the
+    node returns.  So only the prefixes of one path from the root coexist
+    with a level-by-level subtree or a node's children.  The winner is
     the maximum of a total order on (NIV, then smaller (size, ids)), so it
     does not depend on the walk order.  A model whose walk would exceed the
     memory budget or ``eval_cap`` is refused before any subset is valued,
@@ -315,7 +314,7 @@ def exhaustive_subset_search(
         exact.check_reservation(depth)
     check_enumeration_cap(min(len(items), eval_cap + 1), eval_cap)
     w_star = threshold(model.utilities, model.p_h).w_star
-    _walk(items, [exact.empty_prefix(0)], w_star, (), 0, consider)
+    _walk(items, exact.empty_prefix(0), w_star, (), 0, consider)
     value, subset, ev = best
     finite(value, "the net inferential value of the best table")
     return subset, niv(model, TablePolicy(subset), ev, method="exact")
@@ -323,33 +322,29 @@ def exhaustive_subset_search(
 
 def _walk(
     items: Sequence[EvidenceVariable],
-    prefixes: list[exact.Prefix],
+    prefix: exact.Prefix,
     w_star: float,
     parent: tuple[str, ...],
     start: int,
     consider: Callable[[tuple[str, ...], tuple[float, float]], None],
 ) -> None:
-    """Pass ``consider`` each subset that extends ``parent`` by items from
-    ``start`` on, with its (P(act | H), P(act | not-H)).
-
-    ``prefixes[len(parent)]`` holds the parent's arrays; deeper prefixes are
-    appended to ``prefixes`` when first needed.
-    """
+    """Pass ``consider`` each subset that extends ``parent``, whose arrays
+    ``prefix`` holds, by items from ``start`` on, with its (P(act | H),
+    P(act | not-H))."""
     depth = len(parent)
-    if exact.subtree_fits(depth, len(items) - start):
-        for subset, p_act in exact.subtree_probabilities(
-            prefixes[depth], parent, items[start:], w_star
-        ):
+    rest = items[start:]
+    if exact.fits(3 ** len(rest) << depth):
+        for subset, p_act in exact.subtree_probabilities(prefix, parent, rest, w_star):
             consider(subset, p_act)
         return
-    for j in reversed(range(start, len(items))):
-        subset = parent + (items[j].id,)
-        consider(subset, exact.act_probabilities(prefixes[depth], items[j], w_star))
-        if j + 1 < len(items):
-            if len(prefixes) == depth + 1:
-                prefixes.append(exact.empty_prefix(depth + 1))
-            exact.extend(prefixes[depth], items[j], out=prefixes[depth + 1])
-            _walk(items, prefixes, w_star, subset, j + 1, consider)
+    for item, p_act in zip(rest, exact.child_probabilities(prefix, rest, w_star)):
+        consider(parent + (item.id,), p_act)
+    if len(rest) > 1:
+        child = exact.empty_prefix(depth + 1)
+        # The child that ends in the last item has no children.
+        for j in reversed(range(start, len(items) - 1)):
+            exact.extend(prefix, items[j], out=child)
+            _walk(items, child, w_star, parent + (items[j].id,), j + 1, consider)
 
 
 def greedy_select(
@@ -370,8 +365,9 @@ def greedy_select(
     prefix seen is kept.  A NIV that is not finite is refused with
     :class:`DomainError`.
 
-    Each step values every remaining candidate on the prefix chosen so far,
-    all of them at once when their arrays fit (:func:`~sact.exact.fits`).
+    Each step values every remaining candidate on the prefix chosen so far
+    with one call of the kernel's ``child_probabilities``, all of them at
+    once when their arrays fit (:func:`~sact.exact.fits`).
     The (P(act | H), P(act | not-H)) of each accepted step is written to
     ``model.valuation_record``, so valuing the returned subset afterwards
     reads it instead of enumerating it again.

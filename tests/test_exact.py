@@ -20,12 +20,13 @@ from sact import (
 )
 
 import sact.exact
+import sact.gaussian
 from sact.exact import (
     act_probabilities,
+    child_probabilities,
     empty_prefix,
     extend,
     pairwise_sum,
-    step_probabilities,
     subtree_probabilities,
 )
 from sact.table import DEFAULT_TABLE_CAP, _evaluator
@@ -41,6 +42,19 @@ from helpers import (
     random_model,
     tie_models,
 )
+
+
+def counted_calls(monkeypatch, *names) -> list:
+    """The names of the given ``sact.exact`` functions, in the order of
+    their calls from now on."""
+    calls = []
+    for name in names:
+        def call(*args, kernel=getattr(sact.exact, name), name=name):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(sact.exact, name, call)
+    return calls
 
 
 class TestExactEvSubset:
@@ -330,6 +344,7 @@ class TestExhaustiveLevels:
         valued = []
         monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
         monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
+        monkeypatch.setattr(sact.exact, "child_probabilities", lambda *args: valued.append(args))
         monkeypatch.setattr(sact.exact, "subtree_probabilities", lambda *args: valued.append(args))
         with pytest.raises(CapExceededError) as excinfo:
             exhaustive_subset_search(make_model([(0.6, 0.4)] * 8), eval_cap=eval_cap)
@@ -340,6 +355,38 @@ class TestExhaustiveLevels:
         )
         assert valued == []
 
+    @staticmethod
+    def counted_search(monkeypatch) -> list:
+        """The exact kernel's calls in one exhaustive search at m = 11."""
+        calls = counted_calls(
+            monkeypatch, "act_probabilities", "child_probabilities", "subtree_probabilities"
+        )
+        exhaustive_subset_search(make_model([(0.7, 0.3)] * 10 + [(0.6, 0.45)]))
+        return calls
+
+    def test_a_walked_node_values_its_children_with_one_call(self, monkeypatch):
+        # Every walked node's children fit: one call for each of the 12
+        # walked nodes, and no subset valued on its own.
+        calls = self.counted_search(monkeypatch)
+        assert calls.count("child_probabilities") == 12
+        assert "act_probabilities" not in calls
+
+    def test_with_no_subtree_every_subset_is_valued_on_its_own(self, monkeypatch):
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
+        calls = self.counted_search(monkeypatch)
+        assert calls.count("act_probabilities") == (1 << 11) - 1
+        assert "subtree_probabilities" not in calls
+
+    def test_no_items_have_no_children(self, monkeypatch):
+        prefix = empty_prefix(3)
+        for item in make_model([(0.7, 0.3)] * 3).evidence:
+            extend(prefix, item)
+            assert list(child_probabilities(prefix, [], 0.0)) == []
+        assert list(sact.gaussian.child_probabilities(sact.gaussian.empty_prefix(), [], 0.0)) == []
+        # The root of an empty model is walked and has no children.
+        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
+        assert exhaustive_subset_search(make_model([]))[0] == ()
+
 
 def hexed(pairs) -> list:
     """(P(act | H), P(act | not-H)) pairs by ``float.hex``."""
@@ -347,10 +394,10 @@ def hexed(pairs) -> list:
 
 
 class TestGreedySteps:
-    """A greedy step values its candidates all at once on the shared prefix
-    when their arrays fit (``sact.exact.fits``, below
-    ``sact.exact.SUBTREE_ENTRIES``), and one by one above: both give the floats
-    of ``act_probabilities``, bit for bit."""
+    """A greedy step values its candidates with one ``child_probabilities``
+    call, all at once on the shared prefix when their arrays fit
+    (``sact.exact.fits``, below ``sact.exact.SUBTREE_ENTRIES``), and one by
+    one above: both give the floats of ``act_probabilities``, bit for bit."""
 
     def test_a_step_equals_act_probabilities(self):
         rng = random.Random(257)
@@ -364,7 +411,7 @@ class TestGreedySteps:
                     candidates = items[k:]
                     rng.shuffle(candidates)
                     expected = [act_probabilities(prefix, c, w_star) for c in candidates]
-                    assert hexed(step_probabilities(prefix, candidates, w_star)) == hexed(expected)
+                    assert hexed(child_probabilities(prefix, candidates, w_star)) == hexed(expected)
                     extend(prefix, item)
 
     @pytest.mark.parametrize(
@@ -382,22 +429,10 @@ class TestGreedySteps:
         for item in model.evidence[:size]:
             extend(prefix, item)
         expected = [act_probabilities(prefix, c, w_star) for c in model.evidence[size:]]
-        calls = []
-
-        def counted(name):
-            kernel = getattr(sact.exact, name)
-
-            def call(*args):
-                calls.append(name)
-                return kernel(*args)
-
-            return call
-
-        for name in ("act_probabilities", "step_probabilities"):
-            monkeypatch.setattr(sact.exact, name, counted(name))
+        calls = counted_calls(monkeypatch, "act_probabilities", "child_probabilities")
         _, step = _evaluator(model, "exact", size + 1)
         assert hexed(step(ids, size, ids[size:])) == hexed(expected)
-        assert calls == (["step_probabilities"] if batched else ["act_probabilities"] * count)
+        assert calls == ["child_probabilities"] + ([] if batched else ["act_probabilities"] * count)
 
     @staticmethod
     def models():
@@ -429,7 +464,7 @@ class TestGreedySteps:
         valued = []
         monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
         monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
-        monkeypatch.setattr(sact.exact, "step_probabilities", lambda *args: valued.append(args))
+        monkeypatch.setattr(sact.exact, "child_probabilities", lambda *args: valued.append(args))
         model = make_model([(0.6, 0.4)] * 6)
         ids = [item.id for item in model.evidence]
         _, step = _evaluator(model, "exact", 6, enum_cap=3)
@@ -514,12 +549,15 @@ class TestMemory:
         assert traced_peak(lambda: compile_table(model, subset)) <= 0.79 * self.UNIT
 
     def test_exhaustive_peak_at_m_15(self):
-        # One prefix per depth 0 .. 14, three arrays of 2^depth entries each
-        # (0.75 MiB together), plus the valuation of the one 15-item subset:
-        # its masks, one leaf per hypothesis and one block's acting positions.
-        # A prefix of all 15 items would add 0.75 MiB that no subset uses.
-        # The walk reaches the deepest prefixes last, after every subtree
-        # valued level by level has freed its arrays.
+        # The prefixes of one path, depths 0 .. 14, three arrays of
+        # 2^depth entries each (0.75 MiB together), plus the valuation of the
+        # one 15-item subset: its masks, one leaf per hypothesis and one
+        # block's acting positions.  A prefix of all 15 items would add
+        # 0.75 MiB that no subset uses.  Next highest, about 16 KB lower, a
+        # node of 13 items values its one child at once, 2^14 entries, beside
+        # the prefixes of depths 0 .. 13.  Each walked node frees its child
+        # prefix when it returns, so a node's children and a subtree valued
+        # level by level coexist only with the prefixes of their own path.
         model = make_model([(0.7, 0.3)] * 14 + [(0.6, 0.45)])
         # A first search leaves allocations behind that a repeated one does
         # not make: the model's per-item records and id map, built on first
@@ -600,7 +638,7 @@ class TestMemory:
         assert entries == sact.exact.SUBTREE_ENTRIES
 
         def value_all():
-            for _ in step_probabilities(prefix, candidates, -np.inf):
+            for _ in child_probabilities(prefix, candidates, -np.inf):
                 pass
 
         value_all()
@@ -672,6 +710,7 @@ class TestMemoryBudget:
     def test_an_over_budget_search_values_no_subset(self, small_budget, monkeypatch):
         valued = []
         monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
+        monkeypatch.setattr(sact.exact, "child_probabilities", lambda *args: valued.append(args))
         monkeypatch.setattr(sact.exact, "subtree_probabilities", lambda *args: valued.append(args))
         with pytest.raises(CapExceededError) as excinfo:
             exhaustive_subset_search(make_model([(0.7, 0.3)] * 6))
@@ -686,7 +725,7 @@ class TestMemoryBudget:
         model = make_model([(0.7, 0.3)] * 4 + [(0.6, 0.45)])
         expected = exhaustive_subset_search(model)
         monkeypatch.setattr(sact.exact, "MEMORY_BUDGET", self.BUDGET)
-        assert not sact.exact.subtree_fits(0, 5)
+        assert not sact.exact.fits(3**5)
         assert exhaustive_subset_search(model) == expected
 
     def test_the_default_caps_fit_the_budget(self):
