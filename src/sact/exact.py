@@ -7,10 +7,16 @@ Index convention (shared with the table compiler): assignments are numbered
 0 .. 2^n - 1 and bit i of the index, least significant first, is the truth
 value of ``subset[i]``.
 
-A prefix's arrays live in buffers reserved once, by :func:`empty_prefix`,
-for the largest prefix its caller can reach: each caller knows before the
-first extension how many bytes the prefix will need, and a reservation
-above :data:`MEMORY_BUDGET` is refused before anything is reserved.
+A prefix's three arrays are the rows of one (3, 2^size) array reserved
+once, by :func:`empty_prefix`, for the largest prefix its caller can reach:
+each caller knows before the first extension how many bytes the prefix will
+need, and a reservation above :data:`MEMORY_BUDGET` is refused before
+anything is reserved.  One reservation, not three, lets glibc keep a large
+prefix's pages for the next valuation: freeing one 12 MiB array (19 items)
+raises its trim threshold to 24 MiB, while three freed 4 MiB buffers merge
+above the 8 MiB threshold they set and are handed back to the system, to be
+faulted in again.  glibc's thresholds stop at 32 MiB, so a prefix of 21
+items or more is mapped and unmapped on its own.
 :func:`extend` appends one item in place, allocating nothing, and
 :func:`act_probabilities` values the prefix plus one more item without
 building that item's arrays: it finds the acting assignments
@@ -55,7 +61,7 @@ from .model import DiagnosisModel, EvidenceVariable
 DEFAULT_ENUMERATION_CAP = 25
 
 # The most bytes one prefix may reserve.  The largest reservation under the
-# default caps is 384 MiB: three buffers of 2^24 float64 entries, for greedy
+# default caps is 384 MiB: one (3, 2^24) float64 array, for greedy
 # selection or a 25-item valuation.
 MEMORY_BUDGET = 1 << 30
 
@@ -108,17 +114,18 @@ def check_budget(reserved: int, what: str) -> None:
 
 
 def check_reservation(size: int) -> None:
-    """Refuse a prefix of ``size`` items, three buffers of 2^size entries,
+    """Refuse a prefix of ``size`` items, one (3, 2^size) float64 array,
     above :data:`MEMORY_BUDGET`."""
     check_budget(3 * 8 << size, f"a prefix of {size} items")
 
 
 class Prefix:
-    """The assignments of a subset's leading items, in buffers reserved once.
+    """The assignments of a subset's leading items, in one array reserved once.
 
-    The buffers hold the weight sums, then P(assignment | H) and
-    P(assignment | not-H), indexed by the assignment convention above.  The
-    prefix is the leading entries of each buffer, viewed by ``arrays``.
+    ``buffers`` is a (3, 2^size) array whose rows hold the weight sums, then
+    P(assignment | H) and P(assignment | not-H), indexed by the assignment
+    convention above.  The prefix is the leading entries of each row, viewed
+    by ``arrays``, of shape (3, 2^n).
     """
 
     __slots__ = ("buffers", "arrays")
@@ -126,10 +133,9 @@ class Prefix:
     def __init__(self, size: int) -> None:
         check_reservation(size)
         # np.empty, not zeros: a page the prefix never reaches is never touched.
-        self.buffers = [np.empty(1 << size) for _ in range(3)]
-        for buffer, first in zip(self.buffers, (0.0, 1.0, 1.0)):
-            buffer[0] = first
-        self.arrays = [buffer[:1] for buffer in self.buffers]
+        self.buffers = np.empty((3, 1 << size))
+        self.buffers[:, 0] = (0.0, 1.0, 1.0)
+        self.arrays = self.buffers[:, :1]
 
 
 def empty_prefix(size: int) -> Prefix:
@@ -143,18 +149,20 @@ def extend(prefix: Prefix, item: EvidenceVariable, out: Prefix | None = None) ->
     The assignments with the item false fill the first half and those with
     it true the second.  The true half is written first, into entries the
     prefix does not use, so the false half can then overwrite the prefix's
-    own entries.  Nothing is allocated: the buffers must have been reserved
-    for the extended prefix.
+    own entries.  No array is allocated: ``out.buffers`` must have been
+    reserved for the extended prefix.
     """
     if out is None:
         out = prefix
-    n = len(prefix.arrays[0])
+    n = prefix.arrays.shape[1]
     (a1, b1, w1), (a0, b0, w0) = item.record.branches
     steps = ((np.add, w0, w1), (np.multiply, a0, a1), (np.multiply, b0, b1))
-    for source, target, (op, if_false, if_true) in zip(prefix.arrays, out.buffers, steps):
-        op(source, if_true, out=target[n : 2 * n])
-        op(source, if_false, out=target[:n])
-    out.arrays = [target[: 2 * n] for target in out.buffers]
+    # Rows are indexed: iterating a 2-D array costs twice as much per row.
+    for row, (op, if_false, if_true) in enumerate(steps):
+        source = prefix.arrays[row]
+        op(source, if_true, out=out.buffers[row, n : 2 * n])
+        op(source, if_false, out=out.buffers[row, :n])
+    out.arrays = out.buffers[:, : 2 * n]
 
 
 def pairwise_sum(leaf: Callable[[int], np.ndarray], n: int) -> np.ndarray:
@@ -193,7 +201,7 @@ def act_probabilities(
     w_star``, the extended weight itself: at a sum that sits on the
     threshold, ``weights >= w_star - w`` can round the other way.
     """
-    weights, p_given_h, p_given_nh = prefix.arrays
+    weights, p_given_h, p_given_nh = prefix.arrays[0], prefix.arrays[1], prefix.arrays[2]
     (a1, b1, w1), (a0, b0, w0) = item.record.branches
     # (block, mask, P(E | H), P(E | not-H)) of each block with an acting
     # entry, the false branch first.
@@ -297,7 +305,7 @@ def child_probabilities(
     the floats of :func:`act_probabilities`, bit for bit.  Otherwise each
     item is valued by its own :func:`act_probabilities` call.
     """
-    weights, p_given_h, p_given_nh = prefix.arrays
+    weights, p_given_h, p_given_nh = prefix.arrays[0], prefix.arrays[1], prefix.arrays[2]
     if not fits(len(items) * 2 * len(weights)):
         return (act_probabilities(prefix, item, w_star) for item in items)
     branches = branch_array(items).transpose(2, 0, 1)
@@ -327,8 +335,8 @@ def subtree_probabilities(
     factors = branches[:, :, :2].transpose(2, 0, 1)
     added_ids = [(item.id,) for item in items]
     # One row per subset of the level: level_w[row] and level_p[hypothesis, row].
-    level_w = prefix.arrays[0][None]
-    level_p = np.stack(prefix.arrays[1:])[:, None]
+    level_w = prefix.arrays[:1]
+    level_p = prefix.arrays[1:, None]
     # Each row's subset, and the index in items of its last added item.
     subsets, lasts = [parent], [-1]
     while True:

@@ -549,9 +549,9 @@ class TestMemory:
         assert traced_peak(lambda: compile_table(model, subset)) <= 0.79 * self.UNIT
 
     def test_exhaustive_peak_at_m_15(self):
-        # The prefixes of one path, depths 0 .. 14, three arrays of
-        # 2^depth entries each (0.75 MiB together), plus the valuation of the
-        # one 15-item subset: its masks, one leaf per hypothesis and one
+        # 1 023 424 B measured: the prefixes of one path, depths 0 .. 14, one
+        # (3, 2^depth) array each (0.75 MiB together), plus the valuation of
+        # the one 15-item subset: its masks, one leaf per hypothesis and one
         # block's acting positions.  A prefix of all 15 items would add
         # 0.75 MiB that no subset uses.  Next highest, about 16 KB lower, a
         # node of 13 items values its one child at once, 2^14 entries, beside
@@ -609,6 +609,36 @@ class TestMemory:
                 gc.enable()
         assert held <= 8 << 10
 
+    @pytest.mark.parametrize("size", [0, 5, 13])
+    def test_a_prefix_is_one_reservation(self, size):
+        buffers = empty_prefix(size).buffers
+        assert buffers.shape == (3, 1 << size)
+        assert buffers.dtype == np.float64 and buffers.flags.c_contiguous
+
+    def test_extend_writes_into_the_one_reservation(self):
+        model = make_model([(0.7, 0.3), (0.6, 0.45), (0.9, 0.2), (0.55, 0.5), (0.8, 0.1)])
+        ids = [item.id for item in model.evidence]
+        prefix, child = empty_prefix(len(ids)), empty_prefix(len(ids))
+        for n, item in enumerate(model.evidence, 1):
+            extend(prefix, item, out=child)
+            extend(prefix, item)
+            expected = np.array(concatenated_arrays(model, ids[:n]))
+            for extended in (prefix, child):
+                assert extended.arrays.shape == (3, 1 << n)
+                assert np.shares_memory(extended.arrays, extended.buffers)
+                assert extended.arrays.tobytes() == expected.tobytes()
+
+    def test_an_extend_allocates_no_arrays(self):
+        # The 2^13 entries an extension writes are 192 KiB; only the view
+        # of the extended prefix is allocated.
+        model = make_model([(0.7, 0.3)] * 13)
+        prefix = empty_prefix(13)
+        for item in model.evidence[:12]:
+            extend(prefix, item)
+        last = model.evidence[12]
+        last.record  # built on first read, so built untraced
+        assert traced_peak(lambda: extend(prefix, last)) <= 1 << 10
+
     @pytest.mark.parametrize("size, items", [(0, 8), (4, 6), (7, 4), (9, 1), (11, 1), (11, 2)])
     def test_subtree_peak_per_entry(self, size, items):
         # Every assignment acts (w_star = -inf), the largest gathers.
@@ -646,8 +676,8 @@ class TestMemory:
 
 
 class TestMemoryBudget:
-    # Three float64 buffers of 2^4 entries: the exact prefix of a 5-item
-    # subset fits, that of a 6-item subset (768 bytes) does not.
+    # One (3, 2^4) float64 array: the exact prefix of a 5-item subset
+    # fits, that of a 6-item subset (768 bytes) does not.
     BUDGET = 3 * 8 << 4
 
     @pytest.fixture
