@@ -237,6 +237,9 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         "obs.json": json.dumps({i: k % 3 == 0 for k, i in enumerate(ids)}),
         "obs_table.json": json.dumps({i: k % 2 == 0 for k, i in enumerate(ids[:6])}),
         "obs_bad.json": json.dumps({ids[0]: 1}),
+        # The compiled subset is ids[:6]: one id short, and one short plus one extra.
+        "obs_missing.json": json.dumps({i: k % 2 == 0 for k, i in enumerate(ids[:5])}),
+        "obs_both.json": json.dumps({i: k % 2 == 0 for k, i in enumerate(ids[:5] + ids[6:7])}),
         "even.json": json.dumps({"name": "even", "kind": "explicit",
                                  "weights": [0.25 * (i + 1) for i in range(10)]}),
         "every_rule.json": json.dumps(every_rule),
@@ -280,6 +283,10 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("lookup.obs_bad", ["lookup", a, "--tree", out("a.tree.json"), "--obs",
                             out("obs_bad.json")], None),
         ("lookup.obs_partial", ["lookup", a, "--table", out("s.sact"), "--obs", out("obs.json")],
+         None),
+        ("lookup.obs_missing", ["lookup", a, "--table", out("s.sact"), "--obs",
+                                out("obs_missing.json")], None),
+        ("lookup.obs_both", ["lookup", a, "--table", out("s.sact"), "--obs", out("obs_both.json")],
          None),
         ("proto", ["proto", "--moments-out", out("moments.csv")], "moments.csv"),
         ("proto.exact", ["proto", "--method", "exact", "--profile-file", out("even.json"),
