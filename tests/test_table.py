@@ -1,6 +1,8 @@
 import dataclasses
 import pickle
 import random
+from collections import OrderedDict
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from helpers import (
     m1,
     make_model,
     random_model,
+    tie_models,
 )
 
 
@@ -228,6 +231,90 @@ class TestTableLookup:
                 evidence_id: bool((index >> i) & 1) for i, evidence_id in enumerate(subset)
             }
             assert table_lookup(table, observation) is table.action_at(index)
+
+    @pytest.mark.parametrize("observation, message", [
+        ({"e1": True, "e3": False}, "missing ids ['e2']"),
+        ({"e3": True}, "missing ids ['e1', 'e2']"),
+        ({"e1": True, "e2": True, "e3": True, "e9": False, "e0": True},
+         "unexpected ids ['e0', 'e9']"),
+        ({"e3": True, "e9": False, "e1": True}, "missing ids ['e2'], unexpected ids ['e9']"),
+        ({}, "missing ids ['e1', 'e2', 'e3']"),
+    ])
+    def test_observation_error_messages_are_verbatim(self, observation, message):
+        table = compile_table(make_model([(0.8, 0.2), (0.7, 0.3), (0.6, 0.4)]), ["e1", "e2", "e3"])
+        with pytest.raises(ObservationError) as caught:
+            table_lookup(table, observation)
+        assert str(caught.value) == "observation must cover exactly the compiled subset: " + message
+
+    def test_read_only_and_ordered_mappings_look_up_as_a_dict(self):
+        model = random_model(random.Random(149), 4)
+        subset = [item.id for item in model.evidence]
+        table = compile_table(model, subset)
+        for index in range(table.entries):
+            observation = {
+                evidence_id: bool((index >> i) & 1) for i, evidence_id in enumerate(subset)
+            }
+            action = table_lookup(table, observation)
+            assert table_lookup(table, MappingProxyType(observation)) is action
+            assert table_lookup(table, OrderedDict(reversed(observation.items()))) is action
+
+    def test_zero_and_one_select_the_bits_of_false_and_true(self):
+        model = random_model(random.Random(151), 3)
+        subset = [item.id for item in model.evidence]
+        table = compile_table(model, subset)
+        for index in range(table.entries):
+            flags = [(index >> i) & 1 for i in range(len(subset))]
+            as_ints = dict(zip(subset, flags))
+            as_bools = {evidence_id: bool(flag) for evidence_id, flag in as_ints.items()}
+            assert table_lookup(table, as_ints) is table_lookup(table, as_bools)
+            assert table_lookup(table, as_ints) is table.action_at(index)
+
+    def test_a_repeated_id_sets_both_of_its_bits(self):
+        # Only entry 0b11 acts, so a lookup that set one of the two bits
+        # would not act.
+        table = sact.table.CompiledTable(("a", "a"), bytes([0b1000]), 0.0, bytes(32))
+        assert table_lookup(table, {"a": True}) is Action.ACT
+        assert table_lookup(table, {"a": False}) is Action.NO_ACT
+
+    def test_a_short_bit_array_raises_index_error(self):
+        # Four ids index 16 entries, two bytes of bits; one byte is given.
+        table = sact.table.CompiledTable(("a", "b", "c", "d"), bytes([0xFF]), 0.0, bytes(32))
+        assert table_lookup(table, dict.fromkeys("abcd", False)) is Action.ACT
+        with pytest.raises(IndexError):
+            table_lookup(table, {"a": False, "b": False, "c": False, "d": True})
+
+    def test_every_lookup_matches_the_bits_and_the_threshold_rule(self):
+        rng = random.Random(157)
+        models = tie_models() + [random_model(rng, n) for n in range(11)]
+        for model in models:
+            subset = [item.id for item in model.evidence]
+            rng.shuffle(subset)
+            table = compile_table(model, subset)
+            blob = write_table(table)
+            copy = read_table(blob)
+            thr = threshold(model.utilities, model.p_h)
+            lookup = model.evidence_map()
+            pairs = [item_formulas(lookup[i].alpha, lookup[i].beta) for i in subset]
+            keys = subset[:]
+            for index in range(table.entries):
+                w = 0.0
+                for i, pair in enumerate(pairs):
+                    w += pair.w_pos if (index >> i) & 1 else pair.w_neg
+                rng.shuffle(keys)
+                observation = {
+                    evidence_id: bool((index >> subset.index(evidence_id)) & 1)
+                    for evidence_id in keys
+                }
+                expected = optimal_action(w, thr)
+                assert table.action_at(index) is expected
+                # The first lookup of a table is its cold one.
+                assert table_lookup(table, observation) is expected
+                assert table_lookup(table, observation) is expected
+                assert table_lookup(copy, observation) is expected
+            assert table == copy and hash(table) == hash(copy)
+            assert repr(table) == repr(copy)
+            assert write_table(table) == blob == write_table(copy)
+            assert pickle.loads(pickle.dumps(table)) == copy
 
 
 class TestSerialization:
