@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -70,6 +71,9 @@ MAGIC = b"SACT"
 FORMAT_VERSION = 1
 
 StopReason = Literal["no-improvement", "all-selected", "cap"]
+
+# The action of a clear and of a set bit of a table.
+_ACTIONS = (Action.NO_ACT, Action.ACT)
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,9 @@ class CompiledTable:
     ``action_bits`` holds 2^n bits packed least-significant-bit first into
     ceil(2^n / 8) bytes; a set bit means act.  ``w_star_used`` and
     ``model_digest`` record the compile-time threshold and source model.
+    The first :func:`table_lookup` builds the table's lookup plan and keeps
+    it for the next; the plan is not a field, so equality, hash, ``repr``
+    and the written bytes do not see it.
     """
 
     subset: tuple[str, ...]
@@ -124,8 +131,13 @@ class CompiledTable:
     def action_at(self, index: int) -> Action:
         if not (0 <= index < self.entries):
             raise IndexError(f"assignment index {index} out of range for {self.entries} entries")
-        bit = (self.action_bits[index >> 3] >> (index & 7)) & 1
-        return Action.ACT if bit else Action.NO_ACT
+        return _ACTIONS[self.action_bits[index >> 3] >> (index & 7) & 1]
+
+    @cached_property
+    def _lookup_plan(self) -> tuple[frozenset[str], tuple[tuple[str, int], ...]]:
+        """The subset's ids, and each id with its bit of the assignment index."""
+        ids = self.subset
+        return frozenset(ids), tuple((evidence_id, 1 << i) for i, evidence_id in enumerate(ids))
 
 
 @dataclass(frozen=True)
@@ -489,10 +501,16 @@ def compile_table(
 
 
 def table_lookup(table: CompiledTable, observation: Observation) -> Action:
-    """Look up the compiled action for an observation of exactly the subset."""
-    provided = set(observation)
-    expected = set(table.subset)
-    if provided != expected:
+    """Look up the compiled action for an observation of exactly the subset.
+
+    The table's lookup plan is built on its first lookup.  Every lookup
+    compares the observation's keys with the plan's ids once, then makes one
+    pass over the subset, setting the index bit of each true id, and reads
+    the action from that bit of the table.
+    """
+    expected, bits = table._lookup_plan
+    if observation.keys() != expected:
+        provided = set(observation)
         missing = sorted(expected - provided)
         extra = sorted(provided - expected)
         parts = []
@@ -504,10 +522,10 @@ def table_lookup(table: CompiledTable, observation: Observation) -> Action:
             "observation must cover exactly the compiled subset: " + ", ".join(parts)
         )
     index = 0
-    for i, evidence_id in enumerate(table.subset):
+    for evidence_id, bit in bits:
         if observation[evidence_id]:
-            index |= 1 << i
-    return table.action_at(index)
+            index |= bit
+    return _ACTIONS[table.action_bits[index >> 3] >> (index & 7) & 1]
 
 
 # ---------------------------------------------------------------------------
