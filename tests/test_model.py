@@ -221,6 +221,10 @@ class TestPosteriorOdds:
 
 
 class TestOptimalAction:
+    def test_an_action_prints_as_its_value(self):
+        assert str(Action.ACT) == "D"
+        assert str(Action.NO_ACT) == "notD"
+
     def test_above_threshold_acts(self):
         assert optimal_action(1.0, Threshold(0.5, 0.0)) is Action.ACT
 
@@ -349,6 +353,17 @@ class TestModelJson:
         data["evidence"][0]["weight"] = 2.0
         with pytest.raises(FormatError, match="unknown keys"):
             model_from_dict(data)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("evidence", {}, "model.evidence: expected an array"),
+        ("utilities", [], "utilities: expected an object, got list"),
+    ])
+    def test_a_part_of_the_wrong_type_is_refused(self, key, value, message):
+        data = model_to_dict(m1())
+        data[key] = value
+        with pytest.raises(FormatError) as excinfo:
+            model_from_dict(data)
+        assert str(excinfo.value) == message
 
     def test_booleans_are_not_numbers(self):
         data = model_to_dict(m1())

@@ -87,6 +87,12 @@ class TestNiv:
         with pytest.raises(MethodError):
             niv(m1(), ComputePolicy(1), 0.8, method="sampled")
 
+    def test_an_unknown_policy_is_refused(self):
+        policy = object()
+        with pytest.raises(DomainError) as excinfo:
+            niv(m1(), policy, 0.5, method="exact")
+        assert str(excinfo.value) == f"unknown policy {policy!r}"
+
     def test_report_reconstructs_from_its_fields(self):
         rng = random.Random(101)
         for _ in range(100):

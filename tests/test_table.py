@@ -15,6 +15,7 @@ from sact import (
     CostModel,
     DomainError,
     FormatError,
+    MethodError,
     ObservationError,
     UnknownEvidenceError,
     compile_table,
@@ -62,6 +63,16 @@ class TestGreedySelect:
                    costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3e8))
         with pytest.raises(DomainError, match="value of the best next table is inf"):
             greedy_select(model)
+
+    def test_a_negative_lookahead_is_refused(self):
+        with pytest.raises(MethodError) as excinfo:
+            greedy_select(m1(), lookahead=-1)
+        assert str(excinfo.value) == "lookahead depth must be >= 0"
+
+    def test_an_unknown_method_is_refused(self):
+        with pytest.raises(MethodError) as excinfo:
+            greedy_select(m1(), method="sampled")
+        assert str(excinfo.value) == "unknown method 'sampled'"
 
     def test_free_useful_item_is_taken(self):
         subset, trace = greedy_select(m1())
@@ -180,6 +191,13 @@ class TestCompileTable:
             Action.NO_ACT,
             Action.ACT,
         ]
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_an_index_out_of_range_is_refused(self, index):
+        table = compile_table(m1(), ["e1"])
+        with pytest.raises(IndexError) as excinfo:
+            table.action_at(index)
+        assert str(excinfo.value) == f"assignment index {index} out of range for 2 entries"
 
     def test_cap_refusal(self):
         model = make_model([(0.6, 0.4)] * 4)

@@ -11,6 +11,7 @@ from sact import (
     FormatError,
     Internal,
     Leaf,
+    MethodError,
     ObservationError,
     SituationActionTree,
     UnknownEvidenceError,
@@ -124,6 +125,11 @@ class TestBuildTree:
         assert tree.node_count == 1
         assert isinstance(tree.root, Leaf)
         assert trace.steps == ()
+
+    def test_a_negative_lookahead_is_refused(self):
+        with pytest.raises(MethodError) as excinfo:
+            build_tree(m1(), lookahead=-1)
+        assert str(excinfo.value) == "lookahead depth must be >= 0"
 
     def test_free_useful_split_is_taken(self):
         tree, trace = build_tree(m1())
