@@ -214,6 +214,8 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
     search = design_model(rng, 10, alpha=(0.05, 0.95), beta=(0.05, 0.95), k5=1e-4, k6=1.0)
     bad = json.loads(model_to_json(model))
     bad["evidence"][0]["alpha"] = 1.0
+    evidence_object = json.loads(model_to_json(m1()))
+    evidence_object["evidence"] = {}
     # Valid, but its utilities and lifetime factor overflow every NIV to inf.
     overflow = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
                   costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308))
@@ -234,6 +236,8 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         "bad.json": json.dumps(bad),
         "overflow.json": model_to_json(overflow),
         "notjson.json": "{not json",
+        "array.json": "[]",
+        "evidence_object.json": json.dumps(evidence_object),
         "obs.json": json.dumps({i: k % 3 == 0 for k, i in enumerate(ids)}),
         "obs_table.json": json.dumps({i: k % 2 == 0 for k, i in enumerate(ids[:6])}),
         "obs_bad.json": json.dumps({ids[0]: 1}),
@@ -255,6 +259,8 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("validate.bad", ["validate", out("bad.json")], None),
         ("validate.notjson", ["validate", out("notjson.json")], None),
         ("validate.missing", ["validate", out("missing.json")], None),
+        ("validate.array", ["validate", out("array.json")], None),
+        ("validate.evidence_object", ["validate", out("evidence_object.json")], None),
         ("analyze", ["analyze", a], None),
         ("analyze.m1", ["analyze", out("m1.json")], None),
         ("analyze.lookahead", ["analyze", a, "--lookahead", "1"], None),
@@ -280,6 +286,8 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
          None),
         ("lookup.stale", ["lookup", b, "--tree", out("a.tree.json"), "--obs", out("obs.json")],
          None),
+        ("lookup.stale_table", ["lookup", b, "--table", out("s.sact"), "--obs",
+                                out("obs_table.json")], None),
         ("lookup.obs_bad", ["lookup", a, "--tree", out("a.tree.json"), "--obs",
                             out("obs_bad.json")], None),
         ("lookup.obs_partial", ["lookup", a, "--table", out("s.sact"), "--obs", out("obs.json")],
