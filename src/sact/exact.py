@@ -1,7 +1,12 @@
 """Exact prefix kernel: enumeration of every truth assignment of an evidence subset.
 
 Results are exact up to floating-point rounding; the Gaussian approximation
-and both compilers are tested against them.
+and both compilers are tested against them.  This is the one module that
+reserves a prefix, sizes a block or runs a numpy pass: beside the kernel
+proper (:func:`empty_prefix`, :func:`extend`, :func:`child_probabilities`)
+it holds exhaustive search's walk (:func:`walk`) and the table compiler's
+blocked walk (:func:`table_bits`), and every pass reads one block size,
+:data:`BLOCK`.
 
 Index convention (shared with the table compiler): assignments are numbered
 0 .. 2^n - 1 and bit i of the index, least significant first, is the truth
@@ -32,10 +37,12 @@ walks) values its prefix plus each of its candidate items with one
 the arrays are small (:func:`fits`), else one :func:`act_probabilities`
 each.  Exhaustive search values each small subtree of subsets level by
 level, all subsets of one size at once (:func:`subtree_probabilities`);
-both gather and sum a level through :func:`level_probabilities`.  Every
-weight sum is still accumulated left to right over the subset, and every
-probability sum rounds as numpy's sum of the whole acting sequence, so all
-results are bit-identical to enumerating each subset from scratch.
+both gather and sum a level through :func:`level_probabilities`.
+:func:`walk` walks larger subtrees depth first, one child prefix per
+walked node.  Every weight sum is still accumulated left to right over the
+subset, and every probability sum rounds as numpy's sum of the whole acting
+sequence, so all results are bit-identical to enumerating each subset from
+scratch.
 
 Peak memory (tracemalloc, n = 18, in float64 arrays of 2^17 entries):
 valuing a subset of n items holds the three arrays of its first n - 1
@@ -65,20 +72,20 @@ DEFAULT_ENUMERATION_CAP = 25
 # selection or a 25-item valuation.
 MEMORY_BUDGET = 1 << 30
 
-# The most entries a search subtree or a search node's children may hold to
-# be valued at once (:func:`fits`), and the most bytes that valuation holds
-# per entry.
-SUBTREE_ENTRIES = 1 << 14
-SUBTREE_BYTES = 64
-
-# :func:`act_probabilities` reads a prefix BLOCK entries at a time and sums
-# at most LEAF acting probabilities in one ``np.add.reduce``.  numpy's
-# pairwise sum never splits a range of 128 entries or fewer, so LEAF must be
-# at least 128.  A valuation holds one leaf per hypothesis and the acting
-# positions of one block, so at a prefix of 2^14 entries it holds no more
-# than gathering the acting probabilities whole did.
+# The one block size, a power of two of at least 8.  :func:`act_probabilities`
+# reads a prefix BLOCK entries at a time, :func:`table_bits` decides BLOCK
+# assignments at a time (so each block's bits fill whole bytes), and a search
+# subtree or a search node's children of at most BLOCK entries in all are
+# valued at once (:func:`fits`), holding at most SUBTREE_BYTES per entry.
+# :func:`act_probabilities` sums at most LEAF acting probabilities in one
+# ``np.add.reduce``.  numpy's pairwise sum never splits a range of 128
+# entries or fewer, so LEAF must be at least 128.  A valuation holds one leaf
+# per hypothesis and the acting positions of one block, so at a prefix of
+# 2^14 entries it holds no more than gathering the acting probabilities
+# whole did.
 BLOCK = 1 << 14
 LEAF = 1 << 13
+SUBTREE_BYTES = 64
 
 
 def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[EvidenceVariable]:
@@ -117,6 +124,15 @@ def check_reservation(size: int) -> None:
     """Refuse a prefix of ``size`` items, one (3, 2^size) float64 array,
     above :data:`MEMORY_BUDGET`."""
     check_budget(3 * 8 << size, f"a prefix of {size} items")
+
+
+def check_table(size: int) -> None:
+    """Refuse a table of ``size`` items whose working arrays would exceed
+    :data:`MEMORY_BUDGET`: the weight sums of :func:`table_bits`, its bits and
+    their copy as bytes, which coexist at the end."""
+    k = min(size, BLOCK.bit_length() - 1)
+    table_bytes = ((1 << size) + 7) >> 3
+    check_budget(((size - k + 1) * 8 << k) + 2 * table_bytes, f"a table of {size} items")
 
 
 class Prefix:
@@ -253,9 +269,9 @@ def act_probabilities(
 def fits(entries: int) -> bool:
     """Whether arrays of ``entries`` entries in all may be valued at once
     (:func:`child_probabilities`, :func:`subtree_probabilities`): at most
-    :data:`SUBTREE_ENTRIES`, and :data:`SUBTREE_BYTES` of them each within
-    the memory budget."""
-    return entries <= SUBTREE_ENTRIES and entries * SUBTREE_BYTES <= MEMORY_BUDGET
+    :data:`BLOCK`, and :data:`SUBTREE_BYTES` of them each within the memory
+    budget."""
+    return entries <= BLOCK and entries * SUBTREE_BYTES <= MEMORY_BUDGET
 
 
 def branch_array(items: Sequence[EvidenceVariable]) -> np.ndarray:
@@ -351,6 +367,92 @@ def subtree_probabilities(
         level_p = np.multiply(level_p[:, parents][:, :, None], factors[:, lasts][..., None])
         level_p = level_p.reshape(2, len(pairs), -1)
         yield from zip(subsets, level_probabilities(level_w, level_p, w_star))
+
+
+def walk(
+    items: Sequence[EvidenceVariable],
+    prefix: Prefix,
+    w_star: float,
+    parent: tuple[str, ...],
+    start: int,
+    consider: Callable[[tuple[str, ...], tuple[float, float]], None],
+) -> None:
+    """Pass ``consider`` each subset that extends ``parent``, whose arrays
+    ``prefix`` holds, by items from ``start`` on, with its (P(act | H),
+    P(act | not-H)).
+
+    A subtree whose arrays, 2^n entries for each subset of n items,
+    :func:`fits` is valued level by level by :func:`subtree_probabilities`;
+    larger ones are walked depth first.  A walked node values all its
+    children with one :func:`child_probabilities` call, then reserves one
+    child prefix, writes each child into it in turn, children last first,
+    and walks the child's subtree; the prefix is freed when the node
+    returns.  So only the prefixes of one path from the root coexist with a
+    level-by-level subtree or a node's children.
+    """
+    depth = len(parent)
+    rest = items[start:]
+    if fits(3 ** len(rest) << depth):
+        for subset, p_act in subtree_probabilities(prefix, parent, rest, w_star):
+            consider(subset, p_act)
+        return
+    for item, p_act in zip(rest, child_probabilities(prefix, rest, w_star)):
+        consider(parent + (item.id,), p_act)
+    if len(rest) > 1:
+        child = empty_prefix(depth + 1)
+        # The child that ends in the last item has no children.
+        for j in reversed(range(start, len(items) - 1)):
+            extend(prefix, items[j], out=child)
+            walk(items, child, w_star, parent + (items[j].id,), j + 1, consider)
+
+
+def table_bits(items: Sequence[EvidenceVariable], w_star: float) -> bytes:
+    """The action bits of every assignment of ``items``, packed least
+    significant bit first: a bit is set exactly when the assignment's weight
+    sum reaches ``w_star``.
+
+    The weight sums of the first k items, k = log2 :data:`BLOCK` or fewer,
+    are computed once; the remaining items are walked depth first, each
+    level one add of an item's weight to the level above, and each leaf, a
+    block of 2^k sums, writes its bits at byte offset block * 2^k / 8.
+    Every sum is the same left to right sequence of adds as enumerating the
+    whole subset, so the bits are identical.  A subset of at most k items is
+    one block.  The sums, the bits and the returned copy of them must fit
+    the memory budget together (:func:`check_table`).
+    """
+    check_table(len(items))
+    k = min(len(items), BLOCK.bit_length() - 1)
+    rest = items[k:]
+    table_bytes = ((1 << len(items)) + 7) >> 3
+    # levels[0] holds the weight sums of the first k items, doubled in place
+    # as extend doubles a prefix; levels[d] adds d more items, one branch
+    # each.
+    levels = np.empty((len(rest) + 1, 1 << k))
+    levels[0, 0] = 0.0
+    for i, item in enumerate(items[:k]):
+        (_, _, w1), (_, _, w0) = item.record.branches
+        np.add(levels[0, : 1 << i], w1, out=levels[0, 1 << i : 2 << i])
+        np.add(levels[0, : 1 << i], w0, out=levels[0, : 1 << i])
+    acts = np.empty(1 << k, bool)
+    bits = np.empty(table_bytes, np.uint8)
+    # A block of fewer than 8 entries is the whole table.
+    width = len(acts) >> 3 or table_bytes
+
+    # Depth first: a node at depth d writes levels[d] from its parent's
+    # levels[d - 1], which no other node writes before the node's subtree is
+    # done.  Bit d - 1 of its block index is the branch of item k + d - 1.
+    stack = [(0, 0)]
+    while stack:
+        depth, block = stack.pop()
+        if depth:
+            (_, _, w1), (_, _, w0) = rest[depth - 1].record.branches
+            np.add(levels[depth - 1], w1 if block >> depth - 1 & 1 else w0, out=levels[depth])
+        if depth < len(rest):
+            stack += [(depth + 1, block | 1 << depth), (depth + 1, block)]
+        else:
+            np.greater_equal(levels[depth], w_star, out=acts)
+            bits[block * width : (block + 1) * width] = np.packbits(acts, bitorder="little")
+    return bits.tobytes()
 
 
 def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: float) -> float:

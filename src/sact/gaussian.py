@@ -9,11 +9,9 @@ instead of exhaustive enumeration.
 This is the Gaussian prefix kernel.  A prefix is the four running sums of
 its items' weight moments, each read from the item's record
 (:attr:`~sact.model.EvidenceVariable.record`, derived by
-:func:`~sact.model.item_record`).  :func:`act_probabilities` values the
-prefix plus one trailing item with one :func:`gaussian_tail` per hypothesis,
-and :func:`child_probabilities` the prefix plus each of several items, one
-:func:`act_probabilities` each.  :mod:`sact.table` values every subset
-through this kernel.
+:func:`~sact.model.item_record`).  :func:`child_probabilities` values the
+prefix plus each of several items, one :func:`gaussian_tail` per item and
+hypothesis.  :mod:`sact.table` values every subset through this kernel.
 """
 
 from __future__ import annotations
@@ -48,27 +46,19 @@ def empty_prefix(size: int = 0) -> Prefix:
     return [0.0, 0.0, 0.0, 0.0]
 
 
-def _plus(prefix: Prefix, item: EvidenceVariable) -> Prefix:
-    """The prefix's sums with one trailing item's moments added."""
-    return [s + x for s, x in zip(prefix, item.record.moments)]
-
-
 def extend(prefix: Prefix, item: EvidenceVariable) -> None:
     """Add one trailing item's moments to a prefix's sums, in place."""
-    prefix[:] = _plus(prefix, item)
-
-
-def act_probabilities(prefix: Prefix, item: EvidenceVariable, w_star: float) -> tuple[float, float]:
-    """Gaussian P(act | H) and P(act | not-H) of the prefix plus one trailing item."""
-    mean_h, var_h, mean_nh, var_nh = _plus(prefix, item)
-    return gaussian_tail(mean_h, var_h, w_star), gaussian_tail(mean_nh, var_nh, w_star)
+    prefix[:] = [s + x for s, x in zip(prefix, item.record.moments)]
 
 
 def child_probabilities(
     prefix: Prefix, items: Sequence[EvidenceVariable], w_star: float
 ) -> Iterator[tuple[float, float]]:
-    """:func:`act_probabilities` of the prefix plus each of ``items``, in order."""
-    return (act_probabilities(prefix, item, w_star) for item in items)
+    """Gaussian P(act | H) and P(act | not-H) of the prefix plus each of
+    ``items``, in order."""
+    for item in items:
+        mean_h, var_h, mean_nh, var_nh = (s + x for s, x in zip(prefix, item.record.moments))
+        yield gaussian_tail(mean_h, var_h, w_star), gaussian_tail(mean_nh, var_nh, w_star)
 
 
 def normal_cdf(x: float) -> float:

@@ -8,11 +8,10 @@ valuations of one subset, greedy selection and loss curves all go through
 it.  Both searches value a node's children, the prefix plus each candidate
 item, with one call of the kernel's ``child_probabilities``: a greedy step
 on the prefix it has chosen, exhaustive search on each node it walks.
-Exhaustive search walks its own tree of prefixes, because it branches, and
-values each small subtree of it level by level
-(:func:`~sact.exact.subtree_probabilities`), holding at most one such
-subtree's or one node's children's arrays and the prefixes of the path to
-it.
+Exhaustive search branches, so it walks a tree of prefixes
+(:func:`~sact.exact.walk`) and values each small subtree of it level by
+level, holding at most one such subtree's or one node's children's arrays
+and the prefixes of the path to it.
 Greedy selection records the probabilities of each step it accepts on the
 model (``DiagnosisModel.valuation_record``), and the ``*_ev_subset``
 valuations read a recorded subset instead of valuing it again: the same
@@ -24,9 +23,11 @@ count with :func:`~sact.niv.table_niv` and build a
 The compiler enumerates every assignment of a chosen evidence subset, decides
 each with the threshold rule, and packs the decisions into a bit array whose
 index convention matches the exact oracle's: bit i of the index (least
-significant first) is the truth value of ``subset[i]``.  It enumerates them
-in blocks of 2 ** :data:`BLOCK_ITEMS` assignments, so its working sums do not
-grow with the table.
+significant first) is the truth value of ``subset[i]``.  The exact kernel
+enumerates them in blocks (:func:`~sact.exact.table_bits`), so its working
+sums do not grow with the table.  Every array, prefix and block size is the
+exact kernel's; this module keeps selection, the compiled table and its
+byte format.
 
 Selection is hill-climbing: starting from the empty subset, each step values
 every remaining item as if it were the last one added and keeps the best
@@ -41,8 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Literal, Sequence
 
-import numpy as np
-
 from . import exact, gaussian
 from .errors import CapExceededError, FormatError, MethodError, ObservationError
 from .exact import (
@@ -54,7 +53,6 @@ from .exact import (
 from .model import (
     Action,
     DiagnosisModel,
-    EvidenceVariable,
     Observation,
     model_digest,
     threshold,
@@ -63,9 +61,6 @@ from .niv import Method, NivReport, TablePolicy, finite, niv, outranks, table_ni
 
 DEFAULT_TABLE_CAP = 25
 DEFAULT_SEARCH_CAP = 15
-# compile_table enumerates the weight sums of a subset's first BLOCK_ITEMS
-# items once and the rest one block of those 2^BLOCK_ITEMS entries at a time.
-BLOCK_ITEMS = 14
 
 MAGIC = b"SACT"
 FORMAT_VERSION = 1
@@ -284,16 +279,9 @@ def exhaustive_subset_search(
     id tuple.  Candidate subsets keep the model's evidence order.
 
     Each subset extends its parent by one later item and is valued on the
-    parent's arrays.  A subtree whose arrays, 2^n entries for each subset of
-    n items, :func:`~sact.exact.fits` is valued level by level by
-    :func:`~sact.exact.subtree_probabilities`, a few numpy calls per level;
-    larger ones are walked depth first.  A walked node values all its
-    children with one :func:`~sact.exact.child_probabilities` call, then
-    reserves one child prefix, writes each child into it in turn, children
-    last first, and walks the child's subtree; the prefix is freed when the
-    node returns.  So only the prefixes of one path from the root coexist
-    with a level-by-level subtree or a node's children.  The winner is
-    the maximum of a total order on (NIV, then smaller (size, ids)), so it
+    parent's arrays, by :func:`~sact.exact.walk`: small subtrees level by
+    level, larger ones depth first.  The winner is the maximum of a total
+    order on (NIV, then smaller (size, ids)), so it
     does not depend on the walk order.  A model whose walk would exceed the
     memory budget or ``eval_cap`` is refused before any subset is valued,
     with the message of the first prefix or subset too large.  A winning
@@ -326,37 +314,10 @@ def exhaustive_subset_search(
         exact.check_reservation(depth)
     check_enumeration_cap(min(len(items), eval_cap + 1), eval_cap)
     w_star = threshold(model.utilities, model.p_h).w_star
-    _walk(items, exact.empty_prefix(0), w_star, (), 0, consider)
+    exact.walk(items, exact.empty_prefix(0), w_star, (), 0, consider)
     value, subset, ev = best
     finite(value, "the net inferential value of the best table")
     return subset, niv(model, TablePolicy(subset), ev, method="exact")
-
-
-def _walk(
-    items: Sequence[EvidenceVariable],
-    prefix: exact.Prefix,
-    w_star: float,
-    parent: tuple[str, ...],
-    start: int,
-    consider: Callable[[tuple[str, ...], tuple[float, float]], None],
-) -> None:
-    """Pass ``consider`` each subset that extends ``parent``, whose arrays
-    ``prefix`` holds, by items from ``start`` on, with its (P(act | H),
-    P(act | not-H))."""
-    depth = len(parent)
-    rest = items[start:]
-    if exact.fits(3 ** len(rest) << depth):
-        for subset, p_act in exact.subtree_probabilities(prefix, parent, rest, w_star):
-            consider(subset, p_act)
-        return
-    for item, p_act in zip(rest, exact.child_probabilities(prefix, rest, w_star)):
-        consider(parent + (item.id,), p_act)
-    if len(rest) > 1:
-        child = exact.empty_prefix(depth + 1)
-        # The child that ends in the last item has no children.
-        for j in reversed(range(start, len(items) - 1)):
-            exact.extend(prefix, items[j], out=child)
-            _walk(items, child, w_star, parent + (items[j].id,), j + 1, consider)
 
 
 def greedy_select(
@@ -439,62 +400,22 @@ def compile_table(
     """Precompute the action for every assignment of the subset.
 
     A bit is set exactly when the assignment's weight sum reaches the
-    threshold, so lookups reproduce the threshold rule verbatim.  The weight
-    sums of the first k = :data:`BLOCK_ITEMS` items are computed once; the
-    remaining items are walked depth first, each level one add of an item's
-    weight to the level above, and each leaf, a block of 2^k sums, writes
-    its bits at byte offset block * 2^k / 8.  Every sum is the same left to
-    right sequence of adds as enumerating the whole subset, so the bits are
-    identical.  A subset of at most k items is one block, and so is any
-    subset if 2^k is below 8, as a block must fill whole bytes.  The sums,
-    the bits and the returned copy of them must fit the memory budget
-    together.
+    threshold, so lookups reproduce the threshold rule verbatim.  The bits
+    are written block by block by :func:`~sact.exact.table_bits`.  A table
+    over the cap, an unknown or repeated id, and a table whose working
+    arrays exceed the memory budget are refused in that order, before the
+    threshold is solved.
     """
     if len(subset) > cap:
         raise CapExceededError(
             f"subset of {len(subset)} items exceeds the table cap of {cap}"
         )
     items = resolve_subset(model, subset)
-    # Blocks of 2^k entries, each at least a byte of bits, so that no two
-    # blocks share a packed byte.
-    k = min(len(items), BLOCK_ITEMS) if BLOCK_ITEMS >= 3 else len(items)
-    rest = items[k:]
-    table_bytes = ((1 << len(items)) + 7) >> 3
-    # The sums, the bits and their copy as bytes, which coexist at the end.
-    exact.check_budget(
-        ((len(rest) + 1) * 8 << k) + 2 * table_bytes, f"a table of {len(items)} items"
-    )
+    exact.check_table(len(items))
     w_star = threshold(model.utilities, model.p_h).w_star
-    # levels[0] holds the weight sums of the first k items, doubled in place
-    # as exact.extend doubles a prefix; levels[d] adds d more items, one
-    # branch each.
-    levels = np.empty((len(rest) + 1, 1 << k))
-    levels[0, 0] = 0.0
-    for i, item in enumerate(items[:k]):
-        (_, _, w1), (_, _, w0) = item.record.branches
-        np.add(levels[0, : 1 << i], w1, out=levels[0, 1 << i : 2 << i])
-        np.add(levels[0, : 1 << i], w0, out=levels[0, : 1 << i])
-    acts = np.empty(1 << k, bool)
-    bits = np.empty(table_bytes, np.uint8)
-    width = len(acts) >> 3 or table_bytes
-
-    # Depth first: a node at depth d writes levels[d] from its parent's
-    # levels[d - 1], which no other node writes before the node's subtree is
-    # done.  Bit d - 1 of its block index is the branch of item k + d - 1.
-    stack = [(0, 0)]
-    while stack:
-        depth, block = stack.pop()
-        if depth:
-            (_, _, w1), (_, _, w0) = rest[depth - 1].record.branches
-            np.add(levels[depth - 1], w1 if block >> depth - 1 & 1 else w0, out=levels[depth])
-        if depth < len(rest):
-            stack += [(depth + 1, block | 1 << depth), (depth + 1, block)]
-        else:
-            np.greater_equal(levels[depth], w_star, out=acts)
-            bits[block * width : (block + 1) * width] = np.packbits(acts, bitorder="little")
     return CompiledTable(
         subset=tuple(subset),
-        action_bits=bits.tobytes(),
+        action_bits=exact.table_bits(items, w_star),
         w_star_used=w_star,
         model_digest=model_digest(model),
     )

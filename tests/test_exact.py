@@ -57,6 +57,15 @@ def counted_calls(monkeypatch, *names) -> list:
     return calls
 
 
+def set_block(monkeypatch, block):
+    """Set ``sact.exact.BLOCK`` to ``block``; with ``block`` None, make
+    ``sact.exact.fits`` refuse every size, so nothing is valued at once."""
+    if block is None:
+        monkeypatch.setattr(sact.exact, "fits", lambda entries: False)
+    else:
+        monkeypatch.setattr(sact.exact, "BLOCK", block)
+
+
 class TestExactEvSubset:
     def test_single_strong_item(self):
         # Hand enumeration: act iff e1 true, which happens with probability
@@ -314,7 +323,7 @@ class TestStreamedValuation:
 
 class TestExhaustiveLevels:
     """Exhaustive search walks large subtrees and values small ones level by
-    level, below ``sact.exact.SUBTREE_ENTRIES``: every split between the two
+    level, below ``sact.exact.BLOCK`` entries: every split between the two
     gives the same subset and the same floats."""
 
     @staticmethod
@@ -322,8 +331,8 @@ class TestExhaustiveLevels:
         rng = random.Random(233)
         return identity_models(239) + [random_model(rng, m) for m in range(11)]
 
-    @pytest.mark.parametrize("entries", [64, sact.exact.SUBTREE_ENTRIES, 1 << 30])
-    def test_levels_equal_the_walk(self, entries, monkeypatch):
+    @pytest.mark.parametrize("block", [64, sact.exact.BLOCK, 1 << 30])
+    def test_levels_equal_the_walk(self, block, monkeypatch):
         def searched():
             out = []
             for model in self.models():
@@ -331,18 +340,19 @@ class TestExhaustiveLevels:
                 out.append((subset, report.ev.hex(), report.niv.hex()))
             return out
 
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
-        walked = searched()
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        with monkeypatch.context() as refusing:
+            set_block(refusing, None)
+            walked = searched()
+        set_block(monkeypatch, block)
         assert searched() == walked
 
-    @pytest.mark.parametrize("entries", [0, 64, sact.exact.SUBTREE_ENTRIES, 1 << 30])
+    @pytest.mark.parametrize("block", [None, 64, sact.exact.BLOCK, 1 << 30])
     @pytest.mark.parametrize("eval_cap", [3, 5])
     def test_evaluation_cap_is_refused_before_any_subset_is_valued(
-        self, entries, eval_cap, monkeypatch
+        self, block, eval_cap, monkeypatch
     ):
         valued = []
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        set_block(monkeypatch, block)
         monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
         monkeypatch.setattr(sact.exact, "child_probabilities", lambda *args: valued.append(args))
         monkeypatch.setattr(sact.exact, "subtree_probabilities", lambda *args: valued.append(args))
@@ -372,7 +382,7 @@ class TestExhaustiveLevels:
         assert "act_probabilities" not in calls
 
     def test_with_no_subtree_every_subset_is_valued_on_its_own(self, monkeypatch):
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
+        set_block(monkeypatch, None)
         calls = self.counted_search(monkeypatch)
         assert calls.count("act_probabilities") == (1 << 11) - 1
         assert "subtree_probabilities" not in calls
@@ -384,7 +394,7 @@ class TestExhaustiveLevels:
             assert list(child_probabilities(prefix, [], 0.0)) == []
         assert list(sact.gaussian.child_probabilities(sact.gaussian.empty_prefix(), [], 0.0)) == []
         # The root of an empty model is walked and has no children.
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
+        set_block(monkeypatch, None)
         assert exhaustive_subset_search(make_model([]))[0] == ()
 
 
@@ -396,7 +406,7 @@ def hexed(pairs) -> list:
 class TestGreedySteps:
     """A greedy step values its candidates with one ``child_probabilities``
     call, all at once on the shared prefix when their arrays fit
-    (``sact.exact.fits``, below ``sact.exact.SUBTREE_ENTRIES``), and one by
+    (``sact.exact.fits``, up to ``sact.exact.BLOCK`` entries), and one by
     one above: both give the floats of ``act_probabilities``, bit for bit."""
 
     def test_a_step_equals_act_probabilities(self):
@@ -418,11 +428,11 @@ class TestGreedySteps:
         "size, count", [(10, 8), (10, 9), (12, 2), (13, 1), (13, 2), (0, 1 << 13), (0, 1 + (1 << 13))]
     )
     def test_steps_up_to_the_bound_are_valued_at_once(self, size, count, monkeypatch):
-        # count * 2^(size + 1) entries: at SUBTREE_ENTRIES, or one step over.
+        # count * 2^(size + 1) entries: at BLOCK, or one step over.
         m = size + count
         model = make_model([(0.55 + 0.4 * i / m, 0.45 - 0.3 * i / m) for i in range(m)], p_h=0.45)
         ids = [item.id for item in model.evidence]
-        batched = count << size + 1 <= sact.exact.SUBTREE_ENTRIES
+        batched = count << size + 1 <= sact.exact.BLOCK
         assert sact.exact.fits(count << size + 1) == batched
         w_star = threshold(model.utilities, model.p_h).w_star
         prefix = empty_prefix(size)
@@ -442,8 +452,8 @@ class TestGreedySteps:
                 + [make_model(free[:m], p_h=0.45) for m in (12, 15)])
 
     @pytest.mark.parametrize("lookahead", [0, 1, 2])
-    @pytest.mark.parametrize("entries", [64, sact.exact.SUBTREE_ENTRIES, 1 << 30])
-    def test_greedy_steps_at_once_equal_one_by_one(self, entries, lookahead, monkeypatch):
+    @pytest.mark.parametrize("block", [64, sact.exact.BLOCK, 1 << 30])
+    def test_greedy_steps_at_once_equal_one_by_one(self, block, lookahead, monkeypatch):
         def selected():
             out = []
             for model in self.models():
@@ -453,16 +463,17 @@ class TestGreedySteps:
                 out.append((subset, steps, trace.stopped_reason, trace.kept, record))
             return out
 
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
-        one_by_one = selected()
+        with monkeypatch.context() as refusing:
+            set_block(refusing, None)
+            one_by_one = selected()
         assert max(len(steps) for _, steps, *_ in one_by_one) == 15
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        set_block(monkeypatch, block)
         assert selected() == one_by_one
 
-    @pytest.mark.parametrize("entries", [0, sact.exact.SUBTREE_ENTRIES])
-    def test_a_step_over_the_enumeration_cap_values_nothing(self, entries, monkeypatch):
+    @pytest.mark.parametrize("block", [None, sact.exact.BLOCK])
+    def test_a_step_over_the_enumeration_cap_values_nothing(self, block, monkeypatch):
         valued = []
-        monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", entries)
+        set_block(monkeypatch, block)
         monkeypatch.setattr(sact.exact, "act_probabilities", lambda *args: valued.append(args))
         monkeypatch.setattr(sact.exact, "child_probabilities", lambda *args: valued.append(args))
         model = make_model([(0.6, 0.4)] * 6)
@@ -657,7 +668,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("size, count", [(13, 1), (10, 8), (6, 128), (2, 1 << 11), (0, 1 << 13)])
     def test_a_step_at_the_bound_peak_per_entry(self, size, count):
-        # count * 2^(size + 1) = SUBTREE_ENTRIES entries, and every
+        # count * 2^(size + 1) = BLOCK entries, and every
         # assignment acts (w_star = -inf), the largest gathers.
         model = make_model([(0.7, 0.3)] * (size + count))
         prefix = empty_prefix(size)
@@ -665,7 +676,7 @@ class TestMemory:
             extend(prefix, item)
         candidates = model.evidence[size:]
         entries = count << size + 1
-        assert entries == sact.exact.SUBTREE_ENTRIES
+        assert entries == sact.exact.BLOCK
 
         def value_all():
             for _ in child_probabilities(prefix, candidates, -np.inf):
@@ -762,9 +773,10 @@ class TestMemoryBudget:
         # Valuing a subset at the enumeration cap reserves the three arrays
         # of its first cap - 1 items; compiling at the table cap reserves
         # less than the weight sums of all its items: the sums of its first
-        # BLOCK_ITEMS items and of one branch of each later one, the bits
-        # and their copy as bytes.
+        # log2 BLOCK items and of one branch of each later one, the bits and
+        # their copy as bytes.
         assert 3 * 8 << (sact.exact.DEFAULT_ENUMERATION_CAP - 1) <= sact.exact.MEMORY_BUDGET
         assert 8 << DEFAULT_TABLE_CAP <= sact.exact.MEMORY_BUDGET
-        blocks = (DEFAULT_TABLE_CAP - sact.table.BLOCK_ITEMS + 1) * 8 << sact.table.BLOCK_ITEMS
+        k = sact.exact.BLOCK.bit_length() - 1
+        blocks = (DEFAULT_TABLE_CAP - k + 1) * 8 << k
         assert blocks + 2 * (1 << DEFAULT_TABLE_CAP - 3) <= 8 << DEFAULT_TABLE_CAP

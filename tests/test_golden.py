@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import sact.exact
-import sact.table
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.txt"
@@ -31,14 +30,13 @@ def test_outputs_match_the_golden_manifest():
 def test_the_smallest_blocks_give_the_same_manifest(monkeypatch):
     # Every valuation of more than 16 prefix entries then spans several
     # blocks, every one of more than 128 acting entries several leaves, and
-    # every table of more than 3 items several blocks of bits.  No array is
-    # small enough to be valued at once, so every greedy step values its
-    # candidates one by one, and exhaustive search walks every subset; the
-    # default sizes value them at once.
+    # every table of more than 4 items several blocks of bits.  ``fits``
+    # refuses every size, so every greedy step values its candidates one by
+    # one, and exhaustive search walks every subset; the default sizes value
+    # them at once.
     monkeypatch.setattr(sact.exact, "BLOCK", 16)
     monkeypatch.setattr(sact.exact, "LEAF", 128)
-    monkeypatch.setattr(sact.exact, "SUBTREE_ENTRIES", 0)
-    monkeypatch.setattr(sact.table, "BLOCK_ITEMS", 3)
+    monkeypatch.setattr(sact.exact, "fits", lambda entries: False)
     check_manifest()
 
 

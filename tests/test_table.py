@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sact.cli
+import sact.exact
 import sact.table
 from sact import (
     Action,
@@ -203,6 +204,17 @@ class TestCompileTable:
         model = make_model([(0.6, 0.4)] * 4)
         with pytest.raises(CapExceededError):
             compile_table(model, [item.id for item in model.evidence], cap=3)
+
+    @pytest.mark.parametrize("block", [8, 16, 64])
+    def test_small_blocks_write_the_same_bits(self, block, monkeypatch):
+        # Blocks of one, two and eight bytes of bits, over subsets of fewer,
+        # as many and more items than log2 BLOCK.
+        rng = random.Random(269)
+        models = tie_models() + [random_model(rng, m) for m in range(15)]
+        subsets = [[item.id for item in model.evidence] for model in models]
+        expected = [compile_table(model, subset) for model, subset in zip(models, subsets)]
+        monkeypatch.setattr(sact.exact, "BLOCK", block)
+        assert [compile_table(model, subset) for model, subset in zip(models, subsets)] == expected
 
     def test_every_entry_matches_the_threshold_rule(self):
         rng = random.Random(131)
