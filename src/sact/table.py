@@ -281,12 +281,11 @@ def exhaustive_subset_search(
     Each subset extends its parent by one later item and is valued on the
     parent's arrays, by :func:`~sact.exact.walk`: small subtrees level by
     level, larger ones depth first.  The winner is the maximum of a total
-    order on (NIV, then smaller (size, ids)), so it
-    does not depend on the walk order.  A model whose walk would exceed the
-    memory budget or ``eval_cap`` is refused before any subset is valued,
-    with the message of the first prefix or subset too large.  A winning
-    NIV that is not finite is refused with :class:`DomainError`, as greedy
-    selection refuses it.
+    order on (NIV, then smaller (size, ids)), so it does not depend on the
+    walk order.  A model whose walk would exceed the memory budget or
+    ``eval_cap`` is refused before any subset is valued, with the message of
+    the first prefix or subset too large.  A winning NIV that is not finite
+    is refused with :class:`DomainError`, as greedy selection refuses it.
     """
     ids = [item.id for item in model.evidence]
     if len(ids) > cap:

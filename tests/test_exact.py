@@ -8,7 +8,9 @@ import pytest
 from sact import (
     CapExceededError,
     CostModel,
+    DomainError,
     UnknownEvidenceError,
+    UtilityTable,
     compile_table,
     exact_ev_compute,
     exact_ev_subset,
@@ -58,9 +60,9 @@ def counted_calls(monkeypatch, *names) -> list:
 
 
 def set_block(monkeypatch, block):
-    """Set ``sact.exact.BLOCK`` to ``block``; with ``block`` None, make
+    """Set ``sact.exact.BLOCK`` to ``block``; with ``block`` 0, make
     ``sact.exact.fits`` refuse every size, so nothing is valued at once."""
-    if block is None:
+    if not block:
         monkeypatch.setattr(sact.exact, "fits", lambda entries: False)
     else:
         monkeypatch.setattr(sact.exact, "BLOCK", block)
@@ -341,12 +343,12 @@ class TestExhaustiveLevels:
             return out
 
         with monkeypatch.context() as refusing:
-            set_block(refusing, None)
+            set_block(refusing, 0)
             walked = searched()
         set_block(monkeypatch, block)
         assert searched() == walked
 
-    @pytest.mark.parametrize("block", [None, 64, sact.exact.BLOCK, 1 << 30])
+    @pytest.mark.parametrize("block", [0, 64, sact.exact.BLOCK, 1 << 30])
     @pytest.mark.parametrize("eval_cap", [3, 5])
     def test_evaluation_cap_is_refused_before_any_subset_is_valued(
         self, block, eval_cap, monkeypatch
@@ -382,7 +384,7 @@ class TestExhaustiveLevels:
         assert "act_probabilities" not in calls
 
     def test_with_no_subtree_every_subset_is_valued_on_its_own(self, monkeypatch):
-        set_block(monkeypatch, None)
+        set_block(monkeypatch, 0)
         calls = self.counted_search(monkeypatch)
         assert calls.count("act_probabilities") == (1 << 11) - 1
         assert "subtree_probabilities" not in calls
@@ -394,7 +396,7 @@ class TestExhaustiveLevels:
             assert list(child_probabilities(prefix, [], 0.0)) == []
         assert list(sact.gaussian.child_probabilities(sact.gaussian.empty_prefix(), [], 0.0)) == []
         # The root of an empty model is walked and has no children.
-        set_block(monkeypatch, None)
+        set_block(monkeypatch, 0)
         assert exhaustive_subset_search(make_model([]))[0] == ()
 
 
@@ -464,13 +466,13 @@ class TestGreedySteps:
             return out
 
         with monkeypatch.context() as refusing:
-            set_block(refusing, None)
+            set_block(refusing, 0)
             one_by_one = selected()
         assert max(len(steps) for _, steps, *_ in one_by_one) == 15
         set_block(monkeypatch, block)
         assert selected() == one_by_one
 
-    @pytest.mark.parametrize("block", [None, sact.exact.BLOCK])
+    @pytest.mark.parametrize("block", [0, sact.exact.BLOCK])
     def test_a_step_over_the_enumeration_cap_values_nothing(self, block, monkeypatch):
         valued = []
         set_block(monkeypatch, block)
@@ -711,6 +713,14 @@ class TestMemoryBudget:
         assert str(excinfo.value) == (
             "a table of 6 items would reserve 528 bytes, above the memory budget of 384 bytes"
         )
+
+    def test_a_table_over_the_budget_is_refused_before_the_threshold(self, small_budget):
+        # Flat utilities have no threshold, but the budget is checked first.
+        model = make_model([(0.7, 0.3)] * 6, utilities=UtilityTable(0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(CapExceededError, match="memory budget"):
+            compile_table(model, [item.id for item in model.evidence])
+        with pytest.raises(DomainError, match="degenerate utilities"):
+            compile_table(model, ["e1"])
 
     def test_a_table_counts_its_sums_bits_and_bytes(self, monkeypatch):
         # 2^5 weight sums of 8 bytes, 4 bytes of bits and their 4-byte copy.
