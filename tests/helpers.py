@@ -139,6 +139,27 @@ def design_model(rng: random.Random, m: int, *, alpha, beta, k5: float, k6: floa
     return DiagnosisModel(p_h, evidence, utilities, costs)
 
 
+def random_costs(rng: random.Random) -> CostModel:
+    """Costs drawn over many orders of magnitude: k1-k5 = 10^[-12, 1],
+    k6 = 10^[-2, 8] and r = 10^[-3, 3]."""
+    return CostModel(
+        *(10.0 ** rng.uniform(-12.0, 1.0) for _ in range(5)),
+        k6=10.0 ** rng.uniform(-2.0, 8.0),
+        r=10.0 ** rng.uniform(-3.0, 3.0),
+    )
+
+
+def small_models(rng: random.Random, count: int) -> list[DiagnosisModel]:
+    """``count`` models of 0-12 items, drawn in turn by :func:`random_model` and
+    :func:`design_model`."""
+    return [
+        random_model(rng, rng.randint(0, 12)) if i % 2 == 0 else
+        design_model(rng, rng.randint(0, 12), alpha=(0.55, 0.8), beta=(0.2, 0.45),
+                     k5=1e-3, k6=1.0)
+        for i in range(count)
+    ]
+
+
 class ItemFormulas(NamedTuple):
     w_pos: float
     w_neg: float

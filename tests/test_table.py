@@ -37,6 +37,7 @@ from sact import (
 )
 
 from helpers import (
+    ZERO_COSTS,
     concatenated_arrays,
     from_scratch_evaluation,
     from_scratch_gaussian,
@@ -44,7 +45,9 @@ from helpers import (
     item_formulas,
     m1,
     make_model,
+    random_costs,
     random_model,
+    small_models,
     tie_models,
 )
 
@@ -152,6 +155,25 @@ class TestGreedySelect:
         assert subset == ()
         assert trace.kept == 0
         assert len(trace.steps) == 1  # the abandoned exploration remains visible
+
+    @pytest.mark.parametrize("method", ["exact", "gaussian"])
+    def test_costs_only_choose_where_the_zero_cost_ranking_stops(self, method):
+        # For r > 0 each step keeps the candidate of greatest EV (ties to the
+        # smaller id) whatever the costs, so every trace walks one ranking.
+        rng = random.Random(211)
+        for model in small_models(rng, 80):
+            m = len(model.evidence)
+            free = dataclasses.replace(model, costs=ZERO_COSTS)
+            _, full = greedy_select(free, method=method, lookahead=m, table_cap=m)
+            ranking = [step.evidence_id for step in full.steps]
+            assert sorted(ranking) == sorted(item.id for item in model.evidence)
+            for _ in range(3):
+                priced = dataclasses.replace(model, costs=random_costs(rng))
+                for lookahead in (0, 1, 2):
+                    subset, trace = greedy_select(priced, method=method, lookahead=lookahead)
+                    ids = [step.evidence_id for step in trace.steps]
+                    assert ids == ranking[: len(ids)], (model, priced.costs, lookahead)
+                    assert subset == tuple(ranking[: trace.kept])
 
 
 class TestExhaustiveSearch:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -38,7 +39,9 @@ from helpers import (
     m1,
     make_model,
     optimal_tree,
+    random_costs,
     random_model,
+    small_models,
 )
 
 
@@ -224,6 +227,26 @@ class TestBuildTree:
         assert deep.node_count > 1
         for step in trace.steps:
             assert step.niv_after > step.niv_before
+
+    def test_node_cost_only_chooses_where_growth_stops(self):
+        # For r > 0 each node tests the split of greatest EV gain (ties to the
+        # smaller id) whatever the costs, so at lookahead 0 a priced tree is
+        # the top of the tree grown at k5 = 0.
+        def assert_within(node, reference):
+            if isinstance(node, Internal):
+                assert isinstance(reference, Internal)
+                assert node.evidence_id == reference.evidence_id
+                assert_within(node.if_true, reference.if_true)
+                assert_within(node.if_false, reference.if_false)
+
+        rng = random.Random(223)
+        for model in small_models(rng, 120):
+            for _ in range(3):
+                costs = random_costs(rng)
+                tree, _ = build_tree(dataclasses.replace(model, costs=costs))
+                free = dataclasses.replace(model, costs=dataclasses.replace(costs, k5=0.0))
+                reference, _ = build_tree(free)
+                assert_within(tree.root, reference.root)
 
 
 class TestOptimalTree:
