@@ -67,7 +67,7 @@ from sact import (  # noqa: E402
 )
 from sact.profiles import profile_from_dict  # noqa: E402
 
-from helpers import design_model, identity_models, m1, random_model  # noqa: E402
+from helpers import design_model, identity_models, m1, make_model, random_model  # noqa: E402
 
 
 def header() -> str:
@@ -219,6 +219,11 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
     # Valid, but its utilities and lifetime factor overflow every NIV to inf.
     overflow = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
                   costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308))
+    # Valid, but a table of one item costs k5 * 2 = inf, and r * EV overflows
+    # for the second item alone: one candidate's NIV is -inf, the other's NaN.
+    overflow_mixed = make_model([(0.55, 0.45), (0.95, 0.05)],
+                                utilities=UtilityTable(2.0, 0.0, 0.0, 2.0),
+                                costs=CostModel(0.0, 0.0, 0.0, 0.0, 1e308, 1.0, 1.5e308))
     # Breaks every rule validate checks that a JSON model can break.
     every_rule = {
         "p_h": 1,
@@ -235,6 +240,7 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         "m1.json": model_to_json(m1()),
         "bad.json": json.dumps(bad),
         "overflow.json": model_to_json(overflow),
+        "overflow_mixed.json": model_to_json(overflow_mixed),
         "notjson.json": "{not json",
         "array.json": "[]",
         "evidence_object.json": json.dumps(evidence_object),
@@ -323,6 +329,13 @@ def cli_runs(work: Path) -> list[tuple[str, list[str], str | None]]:
         ("compile.overflow", ["compile", out("overflow.json"), "--out", out("overflow.sact")],
          "overflow.sact"),
         ("tree.overflow", ["tree", out("overflow.json")], None),
+        # Valid, with some NIVs -inf and some NaN: the searches refuse it,
+        # except exhaustive search, which drops the NaN ones.
+        ("select.overflow_mixed", ["select", out("overflow_mixed.json")], None),
+        ("analyze.overflow_mixed", ["analyze", out("overflow_mixed.json")], None),
+        ("tree.overflow_mixed", ["tree", out("overflow_mixed.json")], None),
+        ("select.exhaustive_overflow_mixed", ["select", out("overflow_mixed.json"),
+                                              "--exhaustive"], None),
         # Every violation at once, and a threshold that cannot be solved.
         ("validate.every_rule", ["validate", out("every_rule.json")], None),
         ("validate.unsolvable", ["validate", out("unsolvable.json")], None),
