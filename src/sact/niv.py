@@ -13,9 +13,13 @@ costs.
 
 Each policy's costs are written once, in :func:`policy_costs`, and the formula
 once, in :func:`_net`.  A table's costs depend only on its size
-(:func:`table_costs`), so the subset searches price each candidate table by
-its item count through :func:`table_niv`; tree growth reads its node cost
-from the same rule.
+(:func:`table_costs`), so exhaustive search prices each subset by its item
+count through :func:`table_niv`; tree growth reads its node cost from the
+same rule.  Greedy selection and tree growth rank candidates by expected
+value (:func:`outranks`) and price only the best one: for r > 0, which
+``validate_model`` enforces, a table's NIV at a fixed size and a split's NIV
+gain are non-decreasing in the expected value even in floats, so the costs
+decide only where these searches stop.
 """
 
 from __future__ import annotations
@@ -165,10 +169,10 @@ def table_niv(model: DiagnosisModel, n: int, ev: float) -> float:
 def finite(value: float, what: str) -> float:
     """``value`` if it is a finite number; otherwise a :class:`DomainError` naming ``what``.
 
-    Searches rank candidates by NIV, and an infinite or NaN value ranks
-    nothing: on a valid model whose utilities, costs or lifetime factor
-    overflow, every candidate ties at inf.  Each search step checks the value
-    it compares once, so such a model is refused instead of valued.
+    An infinite or NaN value ranks nothing: on a valid model whose
+    utilities, costs or lifetime factor overflow, every candidate ties at
+    inf.  Each search step checks the value of the candidate it keeps, so
+    such a model is refused instead of valued.
     """
     if not math.isfinite(value):
         raise DomainError(
@@ -178,16 +182,19 @@ def finite(value: float, what: str) -> float:
     return value
 
 
-def outranks(value: float, ev: float, evidence_id: str, best: tuple | None) -> bool:
-    """Whether a candidate beats ``best``, a tuple that starts (NIV, EV, id), or None.
+def outranks(ev: float, evidence_id: str, best: tuple | None) -> bool:
+    """Whether a candidate beats ``best``, a tuple that starts (EV, id), or None.
 
-    The order greedy selection and tree growth share: the higher NIV, then
-    the higher expected value, then the smaller id.  A NaN never displaces
-    the best.
+    The order greedy selection and tree growth share: the higher expected
+    value (a table's, or a split's gain), then the smaller id.  A NaN never
+    displaces the best, and a NaN best is never displaced.  For r > 0,
+    which ``validate_model`` enforces, it is the order by NIV with ties to
+    the higher expected value: a table's NIV at a fixed size is
+    ``r * (ev - processing) - memory`` and a split's NIV gain is
+    ``r * dev - 2 * node cost``, each non-decreasing in the expected value
+    even in floats.
     """
-    return best is None or value > best[0] or (
-        value == best[0] and (ev > best[1] or (ev == best[1] and evidence_id < best[2]))
-    )
+    return best is None or ev > best[0] or (ev == best[0] and evidence_id < best[1])
 
 
 def compare_policies(

@@ -16,9 +16,12 @@ Greedy selection records the probabilities of each step it accepts on the
 model (``DiagnosisModel.valuation_record``), and the ``*_ev_subset``
 valuations read a recorded subset instead of valuing it again: the same
 floats, since the record holds what the evaluator returned.  A table's costs
-depend only on its size, so both searches price each candidate by its item
-count with :func:`~sact.niv.table_niv` and build a
-:class:`~sact.niv.NivReport` only for what they return.
+depend only on its size, so both searches price a table by its item count
+with :func:`~sact.niv.table_niv` and build a :class:`~sact.niv.NivReport`
+only for what they return.  Exhaustive search prices every subset: it breaks
+NIV ties by size and ids, not by expected value.  Greedy selection ranks a
+step's candidates by expected value (:func:`~sact.niv.outranks`) and prices
+only the best one, which for r > 0 is the candidate of highest NIV.
 
 The compiler enumerates every assignment of a chosen evidence subset, decides
 each with the threshold rule, and packs the decisions into a bit array whose
@@ -30,9 +33,10 @@ exact kernel's; this module keeps selection, the compiled table and its
 byte format.
 
 Selection is hill-climbing: starting from the empty subset, each step values
-every remaining item as if it were the last one added and keeps the best
-strictly improving candidate.  An optional lookahead tolerates a bounded run
-of non-improving acceptances and then keeps the best prefix seen.
+every remaining item as if it were the last one added and keeps the
+candidate of highest expected value if its table strictly improves the NIV.
+An optional lookahead tolerates a bounded run of non-improving acceptances
+and then keeps the best prefix seen.
 """
 
 from __future__ import annotations
@@ -329,13 +333,16 @@ def greedy_select(
 ) -> tuple[tuple[str, ...], SelectionTrace]:
     """Hill-climb the evidence subset to compile, maximizing net inferential value.
 
-    Each step appends the candidate whose table policy has the highest value,
-    assuming it is the last item to be added.  Ties break toward the larger
-    expected-value gain, then the lexicographically smaller id.  A strictly
-    improving candidate is always accepted; with ``lookahead = L`` up to L
-    consecutive non-improving acceptances are tolerated before the best
-    prefix seen is kept.  A NIV that is not finite is refused with
-    :class:`DomainError`.
+    Each step appends the candidate whose table has the highest expected
+    value, ties to the lexicographically smaller id
+    (:func:`~sact.niv.outranks`), and prices only that table.  For r > 0,
+    which ``validate_model`` enforces, a table's NIV at a fixed size is
+    non-decreasing in its expected value, so this is the candidate of highest
+    NIV, ties to the higher expected value, whatever the costs: they decide
+    only where the search stops.  A strictly improving candidate is always
+    accepted; with ``lookahead = L`` up to L consecutive non-improving
+    acceptances are tolerated before the best prefix seen is kept.  A NIV
+    that is not finite is refused with :class:`DomainError`.
 
     Each step values every remaining candidate on the prefix chosen so far
     with one call of the kernel's ``child_probabilities``, all of them at
@@ -364,16 +371,16 @@ def greedy_select(
         if len(chosen) >= table_cap:
             reason = "cap"
             break
-        # (niv, ev, id, (P(act | H), P(act | not-H)))
-        best_candidate: tuple[float, float, str, tuple[float, float]] | None = None
+        # (ev, id, (P(act | H), P(act | not-H)))
+        best_candidate: tuple[float, str, tuple[float, float]] | None = None
         for evidence_id, p_act in zip(remaining, step(chosen, len(chosen), remaining)):
             ev = compose_ev(model, *p_act)
-            value = table_niv(model, len(chosen) + 1, ev)
-            if outranks(value, ev, evidence_id, best_candidate):
-                best_candidate = (value, ev, evidence_id, p_act)
+            if outranks(ev, evidence_id, best_candidate):
+                best_candidate = (ev, evidence_id, p_act)
         assert best_candidate is not None
-        value, _, evidence_id, p_act = best_candidate
-        finite(value, "the net inferential value of the best next table")
+        ev, evidence_id, p_act = best_candidate
+        value = finite(table_niv(model, len(chosen) + 1, ev),
+                       "the net inferential value of the best next table")
         if value > current_niv:
             tolerance = lookahead
         elif tolerance > 0:

@@ -10,9 +10,9 @@ can be much smaller than 2^n cells.
 Construction is recursive hill-climbing: starting from the single-leaf tree,
 each leaf considers testing one evidence variable unused on its path, with
 both children's actions set by the threshold rule on their extended paths.
-The best strictly improving expansion (by net inferential value, counting two
-extra nodes of memory) is accepted and the procedure recurses into each
-branch independently.
+The expansion of largest expected-value gain is accepted if it strictly
+improves net inferential value, counting two extra nodes of memory, and the
+procedure recurses into each branch independently.
 """
 
 from __future__ import annotations
@@ -151,12 +151,17 @@ def build_tree(
 
     Starts from the null tree (one leaf holding the prior-only optimal
     action).  A leaf expansion replaces it with a test plus two leaves whose
-    actions come from the threshold rule on the extended paths; it is
-    accepted when the value gain ``r * dEV`` beats the two added nodes'
-    storage cost.  Ties break toward the larger expected-value gain, then the
-    smaller id.  With ``lookahead = L``, a chain of up to L non-improving
-    expansions is explored and committed only if the subtree ends up ahead,
-    in which case the whole subtree is recorded as a single step.
+    actions come from the threshold rule on the extended paths.  Each leaf
+    considers the expansion of largest expected-value gain, ties to the
+    smaller id (:func:`~sact.niv.outranks`), and accepts it when the value
+    gain ``r * dEV`` beats the two added nodes' storage cost.  For r > 0,
+    which ``validate_model`` enforces, ``r * dEV - 2 * node cost`` is
+    non-decreasing in dEV, so this is the expansion of largest NIV gain
+    whatever the costs: they decide only where growth stops, and each leaf
+    prices only the expansion it considers.  With ``lookahead = L``, a chain
+    of up to L non-improving expansions is explored and committed only if
+    the subtree ends up ahead, in which case the whole subtree is recorded
+    as a single step.
 
     Each node is priced as :func:`tree_niv` prices it, by the memory cost
     :func:`~sact.niv.policy_costs` gives a one-node tree: the rule that also
@@ -185,8 +190,8 @@ def build_tree(
     ) -> tuple[Node, float, list[tuple[str, float]]]:
         action = optimal_action(w_path, thr)
         base = _leaf_value(model, p_path_h, p_path_nh, action)
-        # (dniv, dev, id, branches)
-        best: tuple[float, float, str, tuple] | None = None
+        # (dev, id, branches)
+        best: tuple[float, str, tuple] | None = None
         for evidence_id, branches in candidates:
             if evidence_id in used:
                 continue
@@ -196,13 +201,13 @@ def build_tree(
             ) + _leaf_value(
                 model, p_path_h * a0, p_path_nh * b0, optimal_action(w_path + w0, thr)
             ) - base
-            dniv = r * dev - 2.0 * node_cost
-            if outranks(dniv, dev, evidence_id, best):
-                best = (dniv, dev, evidence_id, branches)
+            if outranks(dev, evidence_id, best):
+                best = (dev, evidence_id, branches)
         if best is None:
             return Leaf(action), 0.0, []
-        dniv, _, evidence_id, branches = best
-        finite(dniv, "the net inferential value gain of the best expansion")
+        dev, evidence_id, branches = best
+        dniv = finite(r * dev - 2.0 * node_cost,
+                      "the net inferential value gain of the best expansion")
         if dniv <= 0.0 and tolerance == 0:
             return Leaf(action), 0.0, []
         # An improving expansion gives its children the full lookahead again;

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from sact import (
     niv,
 )
 
-from sact.niv import policy_costs, table_niv
+from sact.niv import outranks, policy_costs, table_niv
 
 from helpers import m1, make_model, random_model
 
@@ -174,6 +175,36 @@ class TestNiv:
         data = report.to_dict()
         assert data["policy"] == {"kind": "compile_table", "subset": ["e1"]}
         assert set(data) == {"policy", "ev", "pc_h", "pc_nh", "mc", "niv", "method"}
+
+
+class TestOutranks:
+    """The candidate order greedy selection and tree growth share."""
+
+    def test_anything_beats_no_best(self):
+        assert outranks(-math.inf, "z", None)
+        assert outranks(math.nan, "z", None)
+
+    def test_a_higher_ev_wins(self):
+        assert outranks(0.75, "z", (0.5, "a"))
+        assert not outranks(0.5, "a", (0.75, "z"))
+
+    def test_an_equal_ev_falls_to_the_smaller_id(self):
+        assert outranks(0.5, "e1", (0.5, "e2"))
+        assert not outranks(0.5, "e2", (0.5, "e1"))
+        assert not outranks(0.5, "e1", (0.5, "e1"))
+
+    def test_zero_and_negative_zero_tie(self):
+        assert outranks(0.0, "a", (-0.0, "b")) and outranks(-0.0, "a", (0.0, "b"))
+        assert not outranks(0.0, "b", (-0.0, "a"))
+        assert not outranks(-0.0, "b", (0.0, "a"))
+
+    def test_a_nan_never_displaces_the_best(self):
+        for best in ((0.5, "z"), (-math.inf, "z"), (math.inf, "z")):
+            assert not outranks(math.nan, "a", best)
+
+    def test_a_nan_best_is_never_displaced(self):
+        for ev in (math.inf, 0.5, -math.inf, math.nan):
+            assert not outranks(ev, "a", (math.nan, "z"))
 
 
 class TestComparePolicies:
