@@ -1,6 +1,8 @@
+import ast
 import gc
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -790,3 +792,35 @@ class TestMemoryBudget:
         k = sact.exact.BLOCK.bit_length() - 1
         blocks = (DEFAULT_TABLE_CAP - k + 1) * 8 << k
         assert blocks + 2 * (1 << DEFAULT_TABLE_CAP - 3) <= 8 << DEFAULT_TABLE_CAP
+
+
+def imported(path: Path) -> set[str]:
+    """The modules a source file imports, and each name it imports from one
+    as ``module.name``: ``from . import exact`` in ``sact`` gives
+    ``sact.exact``, and ``from .exact import walk`` gives ``sact.exact`` and
+    ``sact.exact.walk``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["sact" if node.level else "", node.module]))
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestOneKernelLayer:
+    """The kernels sit behind one evaluator: read from the source of every
+    module of the package."""
+
+    SOURCES = sorted(Path(sact.exact.__file__).parent.glob("*.py"))
+
+    def importers(self, module: str) -> list[str]:
+        return [
+            path.name for path in self.SOURCES
+            if any(name == module or name.startswith(module + ".") for name in imported(path))
+        ]
+
+    def test_only_the_exact_kernel_imports_numpy(self):
+        assert self.importers("numpy") == ["exact.py"]
