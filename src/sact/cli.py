@@ -24,7 +24,6 @@ from .errors import (
     ObservationError,
     UnknownEvidenceError,
 )
-from .exact import DEFAULT_ENUMERATION_CAP
 from .gaussian import LOW_N_THRESHOLD, low_n
 from .model import (
     DiagnosisModel,
@@ -43,6 +42,7 @@ from .profiles import (
     profile_from_dict,
 )
 from .table import (
+    DEFAULT_ENUMERATION_CAP,
     DEFAULT_SEARCH_CAP,
     DEFAULT_TABLE_CAP,
     SelectionTrace,

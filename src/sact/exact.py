@@ -30,12 +30,13 @@ leaf of at most :data:`LEAF` at a time, along numpy's own pairwise tree
 (:func:`pairwise_sum`).  Both read the item's two branches, (P(E | H),
 P(E | not-H), weight) for E true and for E false, from its record, computed
 once, on first read (:attr:`~sact.model.EvidenceVariable.record`).
-:mod:`sact.table` values every subset through this kernel, extending one
-prefix.  A search node (a greedy step, or a node that exhaustive search
-walks) values its prefix plus each of its candidate items with one
-:func:`child_probabilities` call: all at once on the shared prefix where
-the arrays are small (:func:`fits`), else one :func:`act_probabilities`
-each.  Exhaustive search values each small subtree of subsets level by
+:mod:`sact.table` is this module's one importer.  Its evaluator values
+every subset through this kernel, extending one prefix; exhaustive search
+reserves only the root prefix of its :func:`walk`.  A search node (a greedy
+step, or a node that exhaustive search walks) values its prefix plus each
+of its candidate items with one :func:`child_probabilities` call: all at
+once on the shared prefix where the arrays are small (:func:`fits`), else
+one :func:`act_probabilities` each.  Exhaustive search values each small subtree of subsets level by
 level, all subsets of one size at once (:func:`subtree_probabilities`);
 both gather and sum a level through :func:`level_probabilities`.
 :func:`walk` walks larger subtrees depth first, one child prefix per
@@ -62,10 +63,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, UnknownEvidenceError
-from .model import DiagnosisModel, EvidenceVariable
-
-DEFAULT_ENUMERATION_CAP = 25
+from .errors import CapExceededError
+from .model import EvidenceVariable
 
 # The most bytes one prefix may reserve.  The largest reservation under the
 # default caps is 384 MiB: one (3, 2^24) float64 array, for greedy
@@ -86,29 +85,6 @@ MEMORY_BUDGET = 1 << 30
 BLOCK = 1 << 14
 LEAF = 1 << 13
 SUBTREE_BYTES = 64
-
-
-def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[EvidenceVariable]:
-    """Map subset ids to evidence variables, rejecting unknowns and duplicates."""
-    lookup = model.evidence_map()
-    seen: set[str] = set()
-    out = []
-    for evidence_id in subset:
-        if evidence_id not in lookup:
-            raise UnknownEvidenceError(f"unknown evidence id {evidence_id!r}")
-        if evidence_id in seen:
-            raise UnknownEvidenceError(f"duplicate evidence id {evidence_id!r} in subset")
-        seen.add(evidence_id)
-        out.append(lookup[evidence_id])
-    return out
-
-
-def check_enumeration_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(
-            f"subset of {n} items exceeds the enumeration cap of {cap} "
-            f"(would require 2^{n} assignments)"
-        )
 
 
 def check_budget(reserved: int, what: str) -> None:
@@ -454,10 +430,3 @@ def table_bits(items: Sequence[EvidenceVariable], w_star: float) -> bytes:
             bits[block * width : (block + 1) * width] = np.packbits(acts, bitorder="little")
     return bits.tobytes()
 
-
-def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: float) -> float:
-    """Expected utility of acting with the given per-hypothesis probabilities."""
-    u = model.utilities
-    return (p_act_given_h * u.u_h_d + (1.0 - p_act_given_h) * u.u_h_nd) * model.p_h + (
-        p_act_given_nh * u.u_nh_d + (1.0 - p_act_given_nh) * u.u_nh_nd
-    ) * (1.0 - model.p_h)

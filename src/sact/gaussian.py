@@ -11,7 +11,8 @@ its items' weight moments, each read from the item's record
 (:attr:`~sact.model.EvidenceVariable.record`, derived by
 :func:`~sact.model.item_record`).  :func:`child_probabilities` values the
 prefix plus each of several items, one :func:`gaussian_tail` per item and
-hypothesis.  :mod:`sact.table` values every subset through this kernel.
+hypothesis.  :mod:`sact.table` values every subset through this kernel, and
+its evaluator is the one caller of these three functions.
 """
 
 from __future__ import annotations

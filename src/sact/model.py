@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError, FormatError, UnknownEvidenceError
 
@@ -147,6 +147,21 @@ class DiagnosisModel:
         entries per method.
         """
         return {}
+
+
+def resolve_subset(model: DiagnosisModel, subset: Sequence[str]) -> list[EvidenceVariable]:
+    """Map subset ids to evidence variables, rejecting unknowns and duplicates."""
+    lookup = model.evidence_map()
+    seen: set[str] = set()
+    out = []
+    for evidence_id in subset:
+        if evidence_id not in lookup:
+            raise UnknownEvidenceError(f"unknown evidence id {evidence_id!r}")
+        if evidence_id in seen:
+            raise UnknownEvidenceError(f"duplicate evidence id {evidence_id!r} in subset")
+        seen.add(evidence_id)
+        out.append(lookup[evidence_id])
+    return out
 
 
 @dataclass(frozen=True)

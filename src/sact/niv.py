@@ -150,6 +150,14 @@ def niv(model: DiagnosisModel, policy: Policy, ev: float, *, method: Method) -> 
     return NivReport(policy=policy, ev=ev, pc_h=pc_h, pc_nh=pc_nh, mc=mc, niv=value, method=method)
 
 
+def compose_ev(model: DiagnosisModel, p_act_given_h: float, p_act_given_nh: float) -> float:
+    """Expected utility of acting with the given per-hypothesis probabilities."""
+    u = model.utilities
+    return (p_act_given_h * u.u_h_d + (1.0 - p_act_given_h) * u.u_h_nd) * model.p_h + (
+        p_act_given_nh * u.u_nh_d + (1.0 - p_act_given_nh) * u.u_nh_nd
+    ) * (1.0 - model.p_h)
+
+
 def _net(model: DiagnosisModel, ev: float, pc_h: float, pc_nh: float, mc: float) -> float:
     """The net inferential value of a policy with this expected value and these costs."""
     return model.costs.r * (ev - pc_h * model.p_h - pc_nh * (1.0 - model.p_h)) - mc

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import CapExceededError, DomainError, FormatError
-from .exact import DEFAULT_ENUMERATION_CAP, compose_ev
-from .gaussian import empty_prefix, extend
 from .model import (
     CostModel,
     DiagnosisModel,
@@ -28,8 +26,8 @@ from .model import (
     finite_number,
     utf8_string,
 )
-from .niv import Method
-from .table import _evaluator
+from .niv import Method, compose_ev
+from .table import DEFAULT_ENUMERATION_CAP, _evaluator
 
 Normalization = Literal["relative-to-compute", "range-normalized"]
 
@@ -285,9 +283,11 @@ def export_moments(profiles: Sequence[WeightProfile]) -> str:
     for profile in profiles:
         realized = {item.id: item for item in realize_profile(profile)}
         ranking = topn_subset(list(realized.values()), len(realized))
-        prefix = empty_prefix()
-        writer.writerow([profile.name, 0, _format(0.0), _format(0.0)])
+        mean_h = var_h = 0.0
+        writer.writerow([profile.name, 0, _format(mean_h), _format(var_h)])
         for n, evidence_id in enumerate(ranking, start=1):
-            extend(prefix, realized[evidence_id])
-            writer.writerow([profile.name, n, _format(prefix[0]), _format(prefix[1])])
+            moments = realized[evidence_id].record.moments
+            mean_h += moments[0]
+            var_h += moments[1]
+            writer.writerow([profile.name, n, _format(mean_h), _format(var_h)])
     return buffer.getvalue()

@@ -3,7 +3,7 @@
 One evaluator values every subset: :func:`_evaluator` turns a subset into
 P(act | H) and P(act | not-H) through the chosen method's prefix kernel
 (:mod:`sact.exact` or :mod:`sact.gaussian`), and callers compose the
-expected value with :func:`~sact.exact.compose_ev`.  The exact and Gaussian
+expected value with :func:`~sact.niv.compose_ev`.  The exact and Gaussian
 valuations of one subset, greedy selection and loss curves all go through
 it.  Both searches value a node's children, the prefix plus each candidate
 item, with one call of the kernel's ``child_probabilities``: a greedy step
@@ -48,21 +48,17 @@ from typing import Callable, Iterator, Literal, Sequence
 
 from . import exact, gaussian
 from .errors import CapExceededError, FormatError, MethodError, ObservationError
-from .exact import (
-    DEFAULT_ENUMERATION_CAP,
-    check_enumeration_cap,
-    compose_ev,
-    resolve_subset,
-)
 from .model import (
     Action,
     DiagnosisModel,
     Observation,
     model_digest,
+    resolve_subset,
     threshold,
 )
-from .niv import Method, NivReport, TablePolicy, finite, niv, outranks, table_niv
+from .niv import Method, NivReport, TablePolicy, compose_ev, finite, niv, outranks, table_niv
 
+DEFAULT_ENUMERATION_CAP = 25
 DEFAULT_TABLE_CAP = 25
 DEFAULT_SEARCH_CAP = 15
 
@@ -73,6 +69,14 @@ StopReason = Literal["no-improvement", "all-selected", "cap"]
 
 # The action of a clear and of a set bit of a table.
 _ACTIONS = (Action.NO_ACT, Action.ACT)
+
+
+def check_enumeration_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceededError(
+            f"subset of {n} items exceeds the enumeration cap of {cap} "
+            f"(would require 2^{n} assignments)"
+        )
 
 
 @dataclass(frozen=True)

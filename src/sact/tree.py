@@ -96,7 +96,7 @@ class BuildTrace:
 
 def _leaf_value(model: DiagnosisModel, p_path_h: float, p_path_nh: float, action: Action) -> float:
     """A leaf's share of the expected value: path probability times utility, by hypothesis."""
-    # Not exact.compose_ev over the tree's (P(act | H), P(act | not-H)): that
+    # Not niv.compose_ev over the tree's (P(act | H), P(act | not-H)): that
     # sums the leaves' path probabilities before weighting them by utility,
     # which rounds differently.  It differed from tree_ev by float.hex on 56
     # of 190 trees (build_tree at lookahead 0 and 1 on the identity, tie and

@@ -26,8 +26,8 @@ from sact import (
     optimal_action,
     threshold,
 )
-from sact.exact import compose_ev
 from sact.gaussian import gaussian_tail
+from sact.niv import compose_ev
 
 ZERO_COSTS = CostModel(k1=0.0, k2=0.0, k3=0.0, k4=0.0, k5=0.0, k6=0.0, r=1.0)
 UNIT_COSTS = CostModel(k1=1.0, k2=1.0, k3=1.0, k4=1.0, k5=1.0, k6=1.0, r=1.0)

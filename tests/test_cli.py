@@ -14,8 +14,7 @@ from sact import (
 )
 from sact import cli
 from sact.cli import build_parser, main
-from sact.exact import DEFAULT_ENUMERATION_CAP
-from sact.table import DEFAULT_SEARCH_CAP, DEFAULT_TABLE_CAP
+from sact.table import DEFAULT_ENUMERATION_CAP, DEFAULT_SEARCH_CAP, DEFAULT_TABLE_CAP
 from sact.tree import DEFAULT_TREE_CAP
 
 from helpers import run_sact

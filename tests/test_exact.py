@@ -33,7 +33,7 @@ from sact.exact import (
     pairwise_sum,
     subtree_probabilities,
 )
-from sact.table import DEFAULT_TABLE_CAP, _evaluator
+from sact.table import DEFAULT_ENUMERATION_CAP, DEFAULT_TABLE_CAP, _evaluator
 
 from helpers import (
     brute_force_evaluation,
@@ -787,7 +787,7 @@ class TestMemoryBudget:
         # less than the weight sums of all its items: the sums of its first
         # log2 BLOCK items and of one branch of each later one, the bits and
         # their copy as bytes.
-        assert 3 * 8 << (sact.exact.DEFAULT_ENUMERATION_CAP - 1) <= sact.exact.MEMORY_BUDGET
+        assert 3 * 8 << (DEFAULT_ENUMERATION_CAP - 1) <= sact.exact.MEMORY_BUDGET
         assert 8 << DEFAULT_TABLE_CAP <= sact.exact.MEMORY_BUDGET
         k = sact.exact.BLOCK.bit_length() - 1
         blocks = (DEFAULT_TABLE_CAP - k + 1) * 8 << k
@@ -824,3 +824,12 @@ class TestOneKernelLayer:
 
     def test_only_the_exact_kernel_imports_numpy(self):
         assert self.importers("numpy") == ["exact.py"]
+
+    def test_only_the_table_module_imports_the_exact_kernel(self):
+        # Its evaluator picks the kernel, and nothing else reaches past it.
+        assert self.importers("sact.exact") == ["table.py"]
+
+    def test_no_module_imports_the_gaussian_prefix_functions(self):
+        names = ("empty_prefix", "extend", "child_probabilities")
+        functions = {f"sact.gaussian.{name}" for name in names}
+        assert [path.name for path in self.SOURCES if imported(path) & functions] == []

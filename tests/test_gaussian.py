@@ -4,9 +4,8 @@ import random
 import pytest
 
 from sact import DomainError, exact_ev_subset, gaussian, gaussian_ev_subset
-from sact.exact import resolve_subset
 from sact.gaussian import gaussian_tail, normal_cdf
-from sact.model import item_record
+from sact.model import item_record, resolve_subset
 
 from helpers import (
     concatenated_arrays,
