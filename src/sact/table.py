@@ -292,8 +292,11 @@ def exhaustive_subset_search(
     order on (NIV, then smaller (size, ids)), so it does not depend on the
     walk order.  A model whose walk would exceed the memory budget or
     ``eval_cap`` is refused before any subset is valued, with the message of
-    the first prefix or subset too large.  A winning NIV that is not finite
-    is refused with :class:`DomainError`, as greedy selection refuses it.
+    the first prefix or subset too large.  A subset whose NIV is NaN never
+    wins, since a NaN compares false, so a NaN NIV is skipped, not refused;
+    only a winning NIV that is not finite is refused, with
+    :class:`DomainError`.  Greedy selection refuses a step whose kept
+    candidate's NIV is not finite.
     """
     ids = [item.id for item in model.evidence]
     if len(ids) > cap:
