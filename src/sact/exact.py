@@ -36,9 +36,10 @@ reserves only the root prefix of its :func:`walk`.  A search node (a greedy
 step, or a node that exhaustive search walks) values its prefix plus each
 of its candidate items with one :func:`child_probabilities` call: all at
 once on the shared prefix where the arrays are small (:func:`fits`), else
-one :func:`act_probabilities` each.  Exhaustive search values each small subtree of subsets level by
-level, all subsets of one size at once (:func:`subtree_probabilities`);
-both gather and sum a level through :func:`level_probabilities`.
+one :func:`act_probabilities` each.  Exhaustive search values each small
+subtree of subsets level by level, all subsets of one size at once
+(:func:`subtree_probabilities`); both gather and sum a level through
+:func:`level_probabilities`.
 :func:`walk` walks larger subtrees depth first, one child prefix per
 walked node.  Every weight sum is still accumulated left to right over the
 subset, and every probability sum rounds as numpy's sum of the whole acting
@@ -429,4 +430,3 @@ def table_bits(items: Sequence[EvidenceVariable], w_star: float) -> bytes:
             np.greater_equal(levels[depth], w_star, out=acts)
             bits[block * width : (block + 1) * width] = np.packbits(acts, bitorder="little")
     return bits.tobytes()
-
