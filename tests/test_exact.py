@@ -22,6 +22,7 @@ from sact import (
     TablePolicy,
     threshold,
 )
+from sact.niv import compose_ev, table_niv
 
 import sact.exact
 import sact.gaussian
@@ -36,6 +37,7 @@ from sact.exact import (
 from sact.table import DEFAULT_ENUMERATION_CAP, DEFAULT_TABLE_CAP, _evaluator
 
 from helpers import (
+    ZERO_COSTS,
     brute_force_evaluation,
     concatenated_arrays,
     from_scratch_evaluation,
@@ -349,6 +351,57 @@ class TestExhaustiveLevels:
             walked = searched()
         set_block(monkeypatch, block)
         assert searched() == walked
+
+    @staticmethod
+    def priced_models():
+        """Tie, identity and random models up to m = 11, the random ones at
+        random and at zero costs, and the two golden models whose NIVs
+        overflow: every NIV inf, and one-item tables worth -inf or NaN."""
+        rng = random.Random(263)
+        overflow = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
+                      costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308))
+        overflow_mixed = make_model([(0.55, 0.45), (0.95, 0.05)],
+                                    utilities=UtilityTable(2.0, 0.0, 0.0, 2.0),
+                                    costs=CostModel(0.0, 0.0, 0.0, 0.0, 1e308, 1.0, 1.5e308))
+        return identity_models(269) + [
+            random_model(rng, m, costs=costs) for m in range(12) for costs in (None, ZERO_COSTS)
+        ] + [overflow, overflow_mixed]
+
+    @staticmethod
+    def priced_one_by_one(model):
+        """The winner of exhaustive search, each subset valued and priced on
+        its own: the largest NIV, then the smaller size, then the smaller
+        ids; a NaN NIV never wins.  Returns (subset, ev, niv)."""
+        ids = [item.id for item in model.evidence]
+        best = None
+        for mask in range(1 << len(ids)):
+            subset = tuple(ids[i] for i in range(len(ids)) if mask >> i & 1)
+            result = exact_ev_subset(model, subset)
+            ev = compose_ev(model, result.p_act_given_h, result.p_act_given_nh)
+            value = table_niv(model, len(subset), ev)
+            if value != value:
+                continue
+            key = (-value, len(subset), subset)
+            if best is None or key < best[0]:
+                best = (key, ev, value)
+        (_, _, subset), ev, value = best
+        return subset, ev, value
+
+    @pytest.fixture(scope="class")
+    def priced(self):
+        """Each priced model with its winner, valued at the default block size."""
+        return [(model, self.priced_one_by_one(model)) for model in self.priced_models()]
+
+    @pytest.mark.parametrize("block", [0, 64, sact.exact.BLOCK, 1 << 30])
+    def test_the_search_equals_pricing_each_subset(self, block, priced, monkeypatch):
+        set_block(monkeypatch, block)
+        for model, (subset, ev, value) in priced:
+            if not np.isfinite(value):
+                with pytest.raises(DomainError, match="best table"):
+                    exhaustive_subset_search(model)
+                continue
+            found, report = exhaustive_subset_search(model)
+            assert (found, report.ev.hex(), report.niv.hex()) == (subset, ev.hex(), value.hex())
 
     @pytest.mark.parametrize("block", [0, 64, sact.exact.BLOCK, 1 << 30])
     @pytest.mark.parametrize("eval_cap", [3, 5])
