@@ -36,30 +36,36 @@ reserves only the root prefix of its :func:`walk`.  A search node (a greedy
 step, or a node that exhaustive search walks) values its prefix plus each
 of its candidate items with one :func:`child_probabilities` call: all at
 once on the shared prefix where the arrays are small (:func:`fits`), else
-one :func:`act_probabilities` each.  Exhaustive search values each small
-subtree of subsets level by level, all subsets of one size at once
-(:func:`subtree_probabilities`); both gather and sum a level through
-:func:`level_probabilities`.
-:func:`walk` walks larger subtrees depth first, one child prefix per
-walked node.  Every weight sum is still accumulated left to right over the
-subset, and every probability sum rounds as numpy's sum of the whole acting
-sequence, so all results are bit-identical to enumerating each subset from
-scratch.
+one :func:`act_probabilities` each.  Below a walked node, exhaustive
+search values each run of sibling subtrees that fit together in one pass,
+level by level, all subsets of one size at once
+(:func:`subtree_probabilities`); a pass holds two adjacent levels at once,
+so the rule (:func:`run_fits`) checks the largest such pair.  Both gather
+and sum a level through :func:`level_probabilities`, which returns the
+level's probabilities as one (2, rows) array, so that the walk's caller
+prices a whole level with array arithmetic.  :func:`walk` walks the
+subtrees that do not fit depth first, one child prefix per walked node.
+Every weight sum is still accumulated left to right over the subset, and
+every probability sum rounds as numpy's sum of the whole acting sequence,
+so all results are bit-identical to enumerating each subset from scratch.
 
 Peak memory (tracemalloc, n = 18, in float64 arrays of 2^17 entries):
 valuing a subset of n items holds the three arrays of its first n - 1
 items, two boolean masks over them (1/4 of an array) and one leaf of
 gathered probabilities per hypothesis, 3.5 of those arrays whatever share
 of the assignments acts; gathering the acting probabilities whole took 4.8
-to 6.2.  A subtree valued level by level, or a node's children valued
-at once, holds at most :data:`SUBTREE_BYTES` per entry (20 to 50 and 49 to
-54 measured).  The pages of a buffer that a run never reaches are never
-touched, so they do not count toward resident memory.
+to 6.2.  A pass holds at most :data:`SUBTREE_BYTES` per entry of its
+largest two adjacent levels, and a node's children valued at once per
+entry of theirs (28 to 44 and 49 to 54 measured).  The pages of a buffer
+that a run never reaches are never touched, so they do not count toward
+resident memory.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import comb
+from operator import add
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -75,8 +81,9 @@ MEMORY_BUDGET = 1 << 30
 # The one block size, a power of two of at least 8.  :func:`act_probabilities`
 # reads a prefix BLOCK entries at a time, :func:`table_bits` decides BLOCK
 # assignments at a time (so each block's bits fill whole bytes), and a search
-# subtree or a search node's children of at most BLOCK entries in all are
-# valued at once (:func:`fits`), holding at most SUBTREE_BYTES per entry.
+# node's children of at most BLOCK entries in all, or a pass whose largest two
+# adjacent levels hold at most BLOCK, are valued at once (:func:`fits`),
+# holding at most SUBTREE_BYTES per entry.
 # :func:`act_probabilities` sums at most LEAF acting probabilities in one
 # ``np.add.reduce``.  numpy's pairwise sum never splits a range of 128
 # entries or fewer, so LEAF must be at least 128.  A valuation holds one leaf
@@ -86,6 +93,10 @@ MEMORY_BUDGET = 1 << 30
 BLOCK = 1 << 14
 LEAF = 1 << 13
 SUBTREE_BYTES = 64
+
+# What :func:`walk` hands each level: its subset size, its (2, rows) array of
+# (P(act | H), P(act | not-H)) and a function from a row to its ids.
+Consider = Callable[[int, np.ndarray, Callable[[int], tuple[str, ...]]], None]
 
 
 def check_budget(reserved: int, what: str) -> None:
@@ -245,7 +256,7 @@ def act_probabilities(
 
 def fits(entries: int) -> bool:
     """Whether arrays of ``entries`` entries in all may be valued at once
-    (:func:`child_probabilities`, :func:`subtree_probabilities`): at most
+    (:func:`child_probabilities`, :func:`run_fits`): at most
     :data:`BLOCK`, and :data:`SUBTREE_BYTES` of them each within the memory
     budget."""
     return entries <= BLOCK and entries * SUBTREE_BYTES <= MEMORY_BUDGET
@@ -261,10 +272,9 @@ def branch_array(items: Sequence[EvidenceVariable]) -> np.ndarray:
     return np.fromiter(flat, float, 6 * len(items)).reshape(-1, 2, 3)[:, ::-1]
 
 
-def level_probabilities(
-    level_w: np.ndarray, level_p: np.ndarray, w_star: float
-) -> Iterator[tuple[float, float]]:
-    """P(act | H) and P(act | not-H) of each row of a level of subsets.
+def level_probabilities(level_w: np.ndarray, level_p: np.ndarray, w_star: float) -> np.ndarray:
+    """P(act | H) and P(act | not-H) of each row of a level of subsets, as
+    the rows of a (2, rows) array.
 
     ``level_w[row]`` holds a subset's weight sums and ``level_p[:, row]`` its
     probabilities under H and not-H, as :func:`extend` would write them.  The
@@ -272,18 +282,18 @@ def level_probabilities(
     hypothesis, row after row, and each row's slice is summed on its own: the
     same values in the same order as :func:`act_probabilities` sums, each in
     a contiguous array, so numpy's pairwise sum rounds them the same way.
-    Yields one pair per row, holding only the gathered probabilities.
     """
     acting = level_w >= w_star
     counts = acting.sum(axis=1).tolist()
     gathered = level_p.reshape(2, -1).compress(acting.ravel(), axis=1)
-    del level_w, level_p, acting
+    del acting
+    p_act = np.empty((len(counts), 2))
     reduce = np.add.reduce
     end = 0
-    for count in counts:
+    for row, count in enumerate(counts):
         start, end = end, end + count
-        p_act_h, p_act_nh = reduce(gathered[:, start:end], axis=1).tolist()
-        yield p_act_h, p_act_nh
+        reduce(gathered[:, start:end], axis=1, out=p_act[row])
+    return p_act.T
 
 
 def child_probabilities(
@@ -302,48 +312,96 @@ def child_probabilities(
     if not fits(len(items) * 2 * len(weights)):
         return (act_probabilities(prefix, item, w_star) for item in items)
     branches = branch_array(items).transpose(2, 0, 1)
-    level_w = np.add(weights, branches[2, ..., None])
-    level_p = np.empty((2, *level_w.shape))
-    np.multiply(p_given_h, branches[0, ..., None], out=level_p[0])
-    np.multiply(p_given_nh, branches[1, ..., None], out=level_p[1])
     # Explicit row lengths: with no items, -1 would be ambiguous.
     rows = (len(items), 2 * len(weights))
-    return level_probabilities(level_w.reshape(rows), level_p.reshape(2, *rows), w_star)
+    level_w = np.add(weights, branches[2, ..., None]).reshape(rows)
+    level_p = np.empty((2, len(items), 2, len(weights)))
+    np.multiply(p_given_h, branches[0, ..., None], out=level_p[0])
+    np.multiply(p_given_nh, branches[1, ..., None], out=level_p[1])
+    del branches
+    p_act = level_probabilities(level_w, level_p.reshape(2, *rows), w_star)
+    return ((float(p_act_h), float(p_act_nh)) for p_act_h, p_act_nh in p_act.T)
 
 
 def subtree_probabilities(
-    prefix: Prefix, parent: tuple[str, ...], items: Sequence[EvidenceVariable], w_star: float
-) -> Iterator[tuple[tuple[str, ...], tuple[float, float]]]:
-    """P(act | H) and P(act | not-H) of each subset that extends ``parent``,
-    the subset ``prefix`` holds, by some of ``items``.
+    prefix: Prefix, items: Sequence[EvidenceVariable], firsts: Sequence[int], w_star: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """P(act | H) and P(act | not-H) of each subset that extends the subset
+    ``prefix`` holds by ``items[j]``, j in ``firsts``, and then by later items.
 
-    Yields ``(subset, (p_act_h, p_act_nh))``, the subset's ids in model order,
-    one level of subset size at a time.  Each level's arrays are built from
-    the level above in one broadcast add of the weights and one multiply of
-    the probabilities, the false half first, as :func:`extend` writes them,
-    and valued by :func:`level_probabilities`.
+    The first level, the prefix plus each first item, is built as
+    :func:`child_probabilities` builds a node's children, and not valued.
+    Each later level is built from the level above in one broadcast add of
+    the weights and one multiply of the probabilities, the false half first,
+    as :func:`extend` writes them, and valued by :func:`level_probabilities`.
+    Yields ``(parents, lasts, p_act)`` per level, one subset size at a time:
+    row ``i`` extends row ``parents[i]`` of the level above by
+    ``items[lasts[i]]``, and ``p_act[:, i]`` holds its two probabilities.
     """
     branches = branch_array(items)
     weights = branches[:, :, 2]
     factors = branches[:, :, :2].transpose(2, 0, 1)
-    added_ids = [(item.id,) for item in items]
+    lasts = np.array(firsts, dtype=np.intp)
     # One row per subset of the level: level_w[row] and level_p[hypothesis, row].
-    level_w = prefix.arrays[:1]
-    level_p = prefix.arrays[1:, None]
-    # Each row's subset, and the index in items of its last added item.
-    subsets, lasts = [parent], [-1]
+    size = 2 * prefix.arrays.shape[1]
+    level_w = np.add(prefix.arrays[0], weights[lasts, :, None]).reshape(len(lasts), size)
+    level_p = np.multiply(prefix.arrays[1:, None, None], factors[:, lasts, :, None])
+    level_p = level_p.reshape(2, len(lasts), size)
     while True:
-        pairs = [(r, j) for r, last in enumerate(lasts) for j in range(last + 1, len(items))]
-        if not pairs:
+        # Each row has a child for each item after its last.
+        counts = len(items) - 1 - lasts
+        rows = int(counts.sum())
+        if not rows:
             return
-        parents = [r for r, _ in pairs]
-        lasts = [j for _, j in pairs]
-        subsets = [subsets[r] + added_ids[j] for r, j in pairs]
-        level_w = np.add(level_w[parents][:, None], weights[lasts][:, :, None])
-        level_w = level_w.reshape(len(pairs), -1)
-        level_p = np.multiply(level_p[:, parents][:, :, None], factors[:, lasts][..., None])
-        level_p = level_p.reshape(2, len(pairs), -1)
-        yield from zip(subsets, level_probabilities(level_w, level_p, w_star))
+        parents = np.repeat(np.arange(len(lasts)), counts)
+        starts = np.cumsum(counts) - counts
+        lasts = np.arange(rows) + np.repeat(lasts + 1 - starts, counts)
+        size *= 2
+        # np.take, not fancy indexing, so the gathered rows are contiguous.
+        level_w = np.add(level_w.take(parents, axis=0)[:, None], weights[lasts, :, None])
+        level_w = level_w.reshape(rows, size)
+        level_p = np.multiply(level_p.take(parents, axis=1)[:, :, None], factors[:, lasts, :, None])
+        level_p = level_p.reshape(2, rows, size)
+        yield parents, lasts, level_probabilities(level_w, level_p, w_star)
+
+
+def run_fits(depth: int, fewest: int, most: int) -> bool:
+    """Whether the subtrees of a run of sibling subsets of ``depth`` items,
+    with ``fewest`` to ``most`` later items each, may be valued in one pass.
+
+    Level s of the run, the siblings themselves at s = 0, holds
+    C(most + 1, s + 1) - C(fewest, s + 1) subsets of 2^(depth + s) entries
+    each.  A pass holds two adjacent levels at once, so the largest pair
+    must :func:`fits`.
+    """
+    entries = [comb(most + 1, s + 1) - comb(fewest, s + 1) << depth + s for s in range(most + 1)]
+    return fits(max(map(add, entries, entries[1:])))
+
+
+def walk_run(
+    items: Sequence[EvidenceVariable],
+    prefix: Prefix,
+    w_star: float,
+    parent: tuple[str, ...],
+    run: Sequence[int],
+    consider: Consider,
+) -> None:
+    """Pass ``consider`` each level of the subtrees of ``parent`` plus
+    ``items[j]``, j in ``run``, below those children themselves, as
+    :func:`walk` does; the levels' rows and their ids are freed on return."""
+    # The parent row and the last item of each row of each level so far.
+    levels = []
+
+    def subset(row: int) -> tuple[str, ...]:
+        added = []
+        for parents, lasts in reversed(levels):
+            added.append(items[lasts[row]].id)
+            row = parents[row]
+        return parent + (items[run[row]].id, *reversed(added))
+
+    for parents, lasts, p_act in subtree_probabilities(prefix, items, run, w_star):
+        levels.append((parents, lasts))
+        consider(len(parent) + 1 + len(levels), p_act, subset)
 
 
 def walk(
@@ -352,35 +410,55 @@ def walk(
     w_star: float,
     parent: tuple[str, ...],
     start: int,
-    consider: Callable[[tuple[str, ...], tuple[float, float]], None],
+    consider: Consider,
 ) -> None:
     """Pass ``consider`` each subset that extends ``parent``, whose arrays
-    ``prefix`` holds, by items from ``start`` on, with its (P(act | H),
-    P(act | not-H)).
+    ``prefix`` holds, by items from ``start`` on, one level of subsets at a
+    time: ``consider(size, p_act, subset)``, where the level's subsets have
+    ``size`` items, ``p_act`` is a (2, rows) array of their (P(act | H),
+    P(act | not-H)) and ``subset(row)`` builds a row's ids, in model order,
+    until ``consider`` returns.
 
-    A subtree whose arrays, 2^n entries for each subset of n items,
-    :func:`fits` is valued level by level by :func:`subtree_probabilities`;
-    larger ones are walked depth first.  A walked node values all its
-    children with one :func:`child_probabilities` call, then reserves one
-    child prefix, writes each child into it in turn, children last first,
-    and walks the child's subtree; the prefix is freed when the node
-    returns.  So only the prefixes of one path from the root coexist with a
-    level-by-level subtree or a node's children.
+    The node values all its children with one :func:`child_probabilities`
+    call.  Then its children's subtrees, last first, are gathered into runs
+    whose levels fit together (:func:`run_fits`), and each run is valued in one
+    pass, level by level, by :func:`subtree_probabilities`.  A child whose
+    subtree does not fit alone is walked: the node reserves one child
+    prefix, writes each such child into it in turn and walks the child's
+    subtree; the prefix is freed when the node returns.  So only the
+    prefixes of one path from the root coexist with a pass or a node's
+    children.  ``consider`` runs with numpy's overflow and invalid-operation
+    warnings off, so it may price a level as arrays that overflow, as Python
+    floats do silently.
     """
-    depth = len(parent)
-    rest = items[start:]
-    if fits(3 ** len(rest) << depth):
-        for subset, p_act in subtree_probabilities(prefix, parent, rest, w_star):
-            consider(subset, p_act)
-        return
-    for item, p_act in zip(rest, child_probabilities(prefix, rest, w_star)):
-        consider(parent + (item.id,), p_act)
-    if len(rest) > 1:
-        child = empty_prefix(depth + 1)
-        # The child that ends in the last item has no children.
-        for j in reversed(range(start, len(items) - 1)):
-            extend(prefix, items[j], out=child)
-            walk(items, child, w_star, parent + (items[j].id,), j + 1, consider)
+    with np.errstate(over="ignore", invalid="ignore"):
+        depth = len(parent)
+        rest = items[start:]
+        consider(
+            depth + 1,
+            np.array(list(child_probabilities(prefix, rest, w_star))).reshape(-1, 2).T,
+            lambda row: parent + (rest[row].id,),
+        )
+        # Child j has len(items) - 1 - j later items, so a subtree shrinks as
+        # its child's item moves right: the children before ``walked`` are
+        # walked, and the rest, last first, are gathered into runs.  The
+        # child that ends in the last item has no children.
+        last = len(items) - 1
+        walked = start
+        while walked < last and not run_fits(depth + 1, last - walked, last - walked):
+            walked += 1
+        end = last
+        for j in reversed(range(walked, last)):
+            if not run_fits(depth + 1, last - end + 1, last - j):
+                walk_run(items, prefix, w_star, parent, range(j + 1, end), consider)
+                end = j + 1
+        if end > walked:
+            walk_run(items, prefix, w_star, parent, range(walked, end), consider)
+        if walked > start:
+            child = empty_prefix(depth + 1)
+            for j in reversed(range(start, walked)):
+                extend(prefix, items[j], out=child)
+                walk(items, child, w_star, parent + (items[j].id,), j + 1, consider)
 
 
 def table_bits(items: Sequence[EvidenceVariable], w_star: float) -> bytes:

@@ -6,7 +6,10 @@ distribution over evidence weights.  Imposing the symmetry
 alone (``alpha`` is the logistic of the weight), and makes stronger evidence
 also more likely to be observed, so subset selection reduces to ranking by
 weight.  This module realizes such profiles into evidence lists and produces
-fractional-loss-versus-n curves as tabular data.
+fractional-loss-versus-n curves as tabular data.  A profile realizes and
+ranks its items once (:attr:`WeightProfile.ranked`), and its loss curves and
+moment table all read them, so the items' records are built once per
+profile too.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, Sequence
 
 from .errors import CapExceededError, DomainError, FormatError
@@ -90,6 +94,14 @@ class WeightProfile:
     @classmethod
     def explicit(cls, name: str, weights: Sequence[float]) -> "WeightProfile":
         return cls(name, tuple(weights))
+
+    @cached_property
+    def ranked(self) -> tuple[EvidenceVariable, ...]:
+        """The profile's items (:func:`realize_profile`), strongest first, as
+        :func:`topn_subset` ranks them: realized on first read and kept, as
+        each item keeps its record, so every curve and moment table of the
+        profile reads the same items."""
+        return tuple(sorted(realize_profile(self), key=_strongest_first))
 
 
 # Shipped reconstructions of three uncertainty levels.  All three use the same
@@ -178,9 +190,12 @@ def topn_subset(evidence: Sequence[EvidenceVariable], n: int) -> list[str]:
     """Ids of the n items with the largest true-branch weights (ties by id)."""
     if not (0 <= n <= len(evidence)):
         raise DomainError(f"n = {n} out of range for {len(evidence)} evidence items")
-    # The true branch's weight, w_pos.
-    ranked = sorted(evidence, key=lambda item: (-item.record.branches[0][2], item.id))
-    return [item.id for item in ranked[:n]]
+    return [item.id for item in sorted(evidence, key=_strongest_first)[:n]]
+
+
+def _strongest_first(item: EvidenceVariable) -> tuple[float, str]:
+    # The true branch's weight, w_pos, then the id.
+    return -item.record.branches[0][2], item.id
 
 
 @dataclass(frozen=True)
@@ -216,12 +231,12 @@ def loss_curve(
     EV (which must be positive); ``range-normalized`` divides by the gap at
     n = 0 (which must be positive).
     """
-    realized = realize_profile(profile)
-    model = DiagnosisModel(p_h, tuple(realized), utilities, _ZERO_COSTS)
-    ranking = topn_subset(realized, len(realized))
-    if method == "exact" and len(realized) > enum_cap:
+    ranked = profile.ranked
+    model = DiagnosisModel(p_h, ranked, utilities, _ZERO_COSTS)
+    ranking = [item.id for item in ranked]
+    if method == "exact" and len(ranking) > enum_cap:
         raise CapExceededError(
-            f"profile has {len(realized)} items, above the enumeration cap of "
+            f"profile has {len(ranking)} items, above the enumeration cap of "
             f"{enum_cap}; use method='gaussian'"
         )
     evaluate, _ = _evaluator(model, method, len(ranking), enum_cap)
@@ -281,12 +296,10 @@ def export_moments(profiles: Sequence[WeightProfile]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["profile", "n", "mean_h", "var_h"])
     for profile in profiles:
-        realized = {item.id: item for item in realize_profile(profile)}
-        ranking = topn_subset(list(realized.values()), len(realized))
         mean_h = var_h = 0.0
         writer.writerow([profile.name, 0, _format(mean_h), _format(var_h)])
-        for n, evidence_id in enumerate(ranking, start=1):
-            moments = realized[evidence_id].record.moments
+        for n, item in enumerate(profile.ranked, start=1):
+            moments = item.record.moments
             mean_h += moments[0]
             var_h += moments[1]
             writer.writerow([profile.name, n, _format(mean_h), _format(var_h)])

@@ -9,9 +9,11 @@ it.  Both searches value a node's children, the prefix plus each candidate
 item, with one call of the kernel's ``child_probabilities``: a greedy step
 on the prefix it has chosen, exhaustive search on each node it walks.
 Exhaustive search branches, so it walks a tree of prefixes
-(:func:`~sact.exact.walk`) and values each small subtree of it level by
-level, holding at most one such subtree's or one node's children's arrays
-and the prefixes of the path to it.
+(:func:`~sact.exact.walk`) and values each run of sibling subtrees that fit
+together level by level, holding at most two adjacent levels of one run, or
+one node's children's arrays, and the prefixes of the path to it.  The walk
+hands it one level of subsets at a time, and it prices the whole level as
+arrays, building the ids of a subset only where it ties or beats the best.
 Greedy selection records the probabilities of each step it accepts on the
 model (``DiagnosisModel.valuation_record``), and the ``*_ev_subset``
 valuations read a recorded subset instead of valuing it again: the same
@@ -30,7 +32,10 @@ significant first) is the truth value of ``subset[i]``.  The exact kernel
 enumerates them in blocks (:func:`~sact.exact.table_bits`), so its working
 sums do not grow with the table.  Every array, prefix and block size is the
 exact kernel's; this module keeps selection, the compiled table and its
-byte format.
+byte format.  It imports the exact kernel, and with it numpy, on its first
+exact valuation, exhaustive search or compile, so a process that only
+looks up, validates, grows trees or values Gaussian curves never loads
+numpy.
 
 Selection is hill-climbing: starting from the empty subset, each step values
 every remaining item as if it were the last one added and keeps the
@@ -46,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Literal, Sequence
 
-from . import exact, gaussian
+from . import gaussian
 from .errors import CapExceededError, FormatError, MethodError, ObservationError
 from .model import (
     Action,
@@ -186,8 +191,11 @@ def _evaluator(
     prefix (a subset without its last item) is reserved once, for
     ``min(largest, enum_cap) - 1``.
     """
-    kernel = {"exact": exact, "gaussian": gaussian}.get(method)
-    if kernel is None:
+    if method == "exact":
+        from . import exact as kernel
+    elif method == "gaussian":
+        kernel = gaussian
+    else:
         raise MethodError(f"unknown method {method!r}")
     lookup = model.evidence_map()
     w_star = threshold(model.utilities, model.p_h).w_star
@@ -287,10 +295,12 @@ def exhaustive_subset_search(
     id tuple.  Candidate subsets keep the model's evidence order.
 
     Each subset extends its parent by one later item and is valued on the
-    parent's arrays, by :func:`~sact.exact.walk`: small subtrees level by
-    level, larger ones depth first.  The winner is the maximum of a total
-    order on (NIV, then smaller (size, ids)), so it does not depend on the
-    walk order.  A model whose walk would exceed the memory budget or
+    parent's arrays, by :func:`~sact.exact.walk`: runs of small sibling
+    subtrees level by level, larger ones depth first.  Each level is priced
+    at once, as arrays; the same floats as pricing each subset, since each
+    is the same sequence of IEEE operations.  The winner is the maximum of a
+    total order on (NIV, then smaller (size, ids)), so it does not depend on
+    the walk order.  A model whose walk would exceed the memory budget or
     ``eval_cap`` is refused before any subset is valued, with the message of
     the first prefix or subset too large.  A subset whose NIV is NaN never
     wins, since a NaN compares false, so a NaN NIV is skipped, not refused;
@@ -298,6 +308,8 @@ def exhaustive_subset_search(
     :class:`DomainError`.  Greedy selection refuses a step whose kept
     candidate's NIV is not finite.
     """
+    from . import exact
+
     ids = [item.id for item in model.evidence]
     if len(ids) > cap:
         raise CapExceededError(
@@ -308,14 +320,19 @@ def exhaustive_subset_search(
     ev = exact_ev_subset(model, (), cap=eval_cap).ev
     best = (table_niv(model, 0, ev), (), ev)  # (niv, subset, ev)
 
-    def consider(subset: tuple[str, ...], p_act: tuple[float, float]) -> None:
+    def consider(size: int, p_act, subset: Callable[[int], tuple[str, ...]]) -> None:
+        # One level of subsets, priced as arrays; ids only for the level's best.
         nonlocal best
-        ev = compose_ev(model, *p_act)
-        value = table_niv(model, len(subset), ev)
-        if value > best[0] or (
-            value == best[0] and (len(subset), subset) < (len(best[1]), best[1])
-        ):
-            best = (value, subset, ev)
+        evs = compose_ev(model, p_act[0], p_act[1])
+        values = table_niv(model, size, evs)
+        # A NaN NIV never ties or beats the best.
+        ties = values >= best[0]
+        if not ties.any():
+            return
+        top = values[ties].max()
+        found, row = min((subset(row), row) for row in (values == top).nonzero()[0].tolist())
+        if top > best[0] or (size, found) < (len(best[1]), best[1]):
+            best = (float(top), found, float(evs[row]))
 
     # Refused before any subset is valued, with the first refusal a walk
     # would meet: the prefix of each depth that can have a child (a subset of
@@ -419,6 +436,8 @@ def compile_table(
     arrays exceed the memory budget are refused in that order, before the
     threshold is solved.
     """
+    from . import exact
+
     if len(subset) > cap:
         raise CapExceededError(
             f"subset of {len(subset)} items exceeds the table cap of {cap}"

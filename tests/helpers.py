@@ -42,22 +42,26 @@ SACT_ROOT = str(Path(sact.__file__).resolve().parents[1])
 CRASH_MARKERS = ("Traceback", "No module named sact")
 
 
+def sact_env() -> dict[str, str]:
+    """The environment of a child process that imports the package under
+    test: ``PYTHONPATH`` starts with ``SACT_ROOT``, followed by the inherited
+    entries made absolute, so a relative entry such as ``src`` still
+    resolves from a temporary working directory."""
+    inherited = os.environ.get("PYTHONPATH")
+    entries = inherited.split(os.pathsep) if inherited else []
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([SACT_ROOT, *map(os.path.abspath, entries)])}
+
+
 def run_sact(*args, cwd):
     """Run ``python -m sact ARGS`` in ``cwd`` on the package under test.
 
-    The child's ``PYTHONPATH`` starts with ``SACT_ROOT``, followed by the
-    inherited entries made absolute, so a relative entry such as ``src``
-    still resolves from a temporary ``cwd`` and the child runs the same code
-    as the library tests, whether or not sact is installed.  Fails the test
-    if the child's stderr shows a traceback or a missing package.
+    The child runs in :func:`sact_env`, so it runs the same code as the
+    library tests, whether or not sact is installed.  Fails the test if the
+    child's stderr shows a traceback or a missing package.
     """
-    inherited = os.environ.get("PYTHONPATH")
-    entries = inherited.split(os.pathsep) if inherited else []
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([SACT_ROOT, *map(os.path.abspath, entries)])
     result = subprocess.run(
         [sys.executable, "-m", "sact", *args],
-        cwd=cwd, env=env, capture_output=True, timeout=120,
+        cwd=cwd, env=sact_env(), capture_output=True, timeout=120,
     )
     stderr = result.stderr.decode(errors="replace")
     for marker in CRASH_MARKERS:

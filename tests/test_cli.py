@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +19,7 @@ from sact.cli import build_parser, main
 from sact.table import DEFAULT_ENUMERATION_CAP, DEFAULT_SEARCH_CAP, DEFAULT_TABLE_CAP
 from sact.tree import DEFAULT_TREE_CAP
 
-from helpers import run_sact
+from helpers import run_sact, sact_env
 
 M1 = {
     "p_h": 0.5,
@@ -267,6 +269,27 @@ def test_compile_then_lookup_round_trip(workspace):
     result = run_sact("lookup", "m1.json", "--table", "m1.sact", "--obs", "obs0.json",
                       cwd=workspace)
     assert json.loads(result.stdout)["action"] == "notD"
+
+
+def test_commands_without_an_exact_pass_leave_numpy_unimported(workspace):
+    # Only the exact kernel imports numpy, on its first valuation,
+    # exhaustive search or compile.
+    assert run_sact("compile", "m1.json", "--subset", "e1", "--out", "m1.sact",
+                    cwd=workspace).returncode == 0
+    (workspace / "obs.json").write_text(json.dumps({"e1": True}))
+    code = ("import sys; from sact.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)")
+    for argv in (
+        ["validate", "m1.json"],
+        ["tree", "m1.json", "--out", "m1.tree.json"],
+        ["lookup", "m1.json", "--tree", "m1.tree.json", "--obs", "obs.json"],
+        ["lookup", "m1.json", "--table", "m1.sact", "--obs", "obs.json"],
+        ["proto", "--moments-out", "moments.csv"],
+    ):
+        result = subprocess.run([sys.executable, "-c", code, *argv], cwd=workspace,
+                                env=sact_env(), capture_output=True, timeout=120)
+        assert result.returncode == 0, argv
+        assert result.stderr.decode().splitlines()[-1] == "False", argv
 
 
 def test_lookup_against_wrong_model_exits_four(workspace):

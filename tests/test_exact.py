@@ -2,6 +2,7 @@ import ast
 import gc
 import random
 import tracemalloc
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -432,10 +433,10 @@ class TestExhaustiveLevels:
         return calls
 
     def test_a_walked_node_values_its_children_with_one_call(self, monkeypatch):
-        # Every walked node's children fit: one call for each of the 12
+        # Every walked node's children fit: one call for each of the 6
         # walked nodes, and no subset valued on its own.
         calls = self.counted_search(monkeypatch)
-        assert calls.count("child_probabilities") == 12
+        assert calls.count("child_probabilities") == 6
         assert "act_probabilities" not in calls
 
     def test_with_no_subtree_every_subset_is_valued_on_its_own(self, monkeypatch):
@@ -716,11 +717,27 @@ class TestMemory:
             extend(prefix, item)
 
         def value_all():
-            for _ in subtree_probabilities(prefix, (), model.evidence[size:], -np.inf):
+            for _ in subtree_probabilities(prefix, model.evidence[size:], range(items), -np.inf):
                 pass
 
         value_all()
         entries = 3**items << size
+        assert traced_peak(value_all) <= sact.exact.SUBTREE_BYTES * entries
+
+    def test_the_largest_pass_peak_per_entry(self):
+        # The largest pass the rule admits: the subtree of 9 items at depth
+        # 0, whose largest adjacent levels, 7 and 6 items, hold
+        # C(9, 7) * 2^7 + C(9, 6) * 2^6 = 9984 entries; at 10 items they hold
+        # 28 800.  Every assignment acts (w_star = -inf), the largest gathers.
+        model = make_model([(0.7, 0.3)] * 9)
+        entries = max((comb(9, s) << s) + (comb(9, s - 1) << s - 1) for s in range(1, 10))
+        assert entries == 9984 and sact.exact.run_fits(1, 1, 8)
+        assert not sact.exact.run_fits(1, 1, 9)
+
+        def value_all():
+            sact.exact.walk(model.evidence, empty_prefix(0), -np.inf, (), 0, lambda *level: None)
+
+        value_all()
         assert traced_peak(value_all) <= sact.exact.SUBTREE_BYTES * entries
 
     @pytest.mark.parametrize("size, count", [(13, 1), (10, 8), (6, 128), (2, 1 << 11), (0, 1 << 13)])
