@@ -318,9 +318,14 @@ def child_probabilities(
     level_p = np.empty((2, len(items), 2, len(weights)))
     np.multiply(p_given_h, branches[0, ..., None], out=level_p[0])
     np.multiply(p_given_nh, branches[1, ..., None], out=level_p[1])
+    # Each array is freed once it is no longer read: at 2^14 entries the
+    # branches, the level and the floats made from it do not fit the bound
+    # together.
     del branches
     p_act = level_probabilities(level_w, level_p.reshape(2, *rows), w_star)
-    return ((float(p_act_h), float(p_act_nh)) for p_act_h, p_act_nh in p_act.T)
+    del level_w, level_p
+    p_act_h, p_act_nh = p_act.tolist()
+    return zip(p_act_h, p_act_nh)
 
 
 def subtree_probabilities(
