@@ -97,11 +97,12 @@ class WeightProfile:
 
     @cached_property
     def ranked(self) -> tuple[EvidenceVariable, ...]:
-        """The profile's items (:func:`realize_profile`), strongest first, as
-        :func:`topn_subset` ranks them: realized on first read and kept, as
-        each item keeps its record, so every curve and moment table of the
-        profile reads the same items."""
-        return tuple(sorted(realize_profile(self), key=_strongest_first))
+        """The profile's items (:func:`realize_profile`), strongest first:
+        by the weight of the true branch, w_pos, ties to the smaller id.
+        Realized on first read and kept, as each item keeps its record, so
+        every curve and moment table of the profile reads the same items."""
+        items = realize_profile(self)
+        return tuple(sorted(items, key=lambda item: (-item.record.branches[0][2], item.id)))
 
 
 # Shipped reconstructions of three uncertainty levels.  All three use the same
@@ -184,18 +185,6 @@ def realize_profile(profile: WeightProfile) -> list[EvidenceVariable]:
             raise DomainError(f"profile weight {w!r} is too large to realize as probabilities")
         out.append(EvidenceVariable(f"e{i:0{width}d}", alpha, beta))
     return out
-
-
-def topn_subset(evidence: Sequence[EvidenceVariable], n: int) -> list[str]:
-    """Ids of the n items with the largest true-branch weights (ties by id)."""
-    if not (0 <= n <= len(evidence)):
-        raise DomainError(f"n = {n} out of range for {len(evidence)} evidence items")
-    return [item.id for item in sorted(evidence, key=_strongest_first)[:n]]
-
-
-def _strongest_first(item: EvidenceVariable) -> tuple[float, str]:
-    # The true branch's weight, w_pos, then the id.
-    return -item.record.branches[0][2], item.id
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from sact import (
     loss_curve,
     realize_profile,
 )
-from sact.profiles import LossRow, profile_from_dict, topn_subset
+from sact.profiles import LossRow, profile_from_dict
 
 from helpers import (
     SYMMETRIC_UTILITIES,
@@ -139,23 +139,28 @@ class TestRealizeProfile:
         )
 
 
-class TestTopnSubset:
-    def test_boundaries(self):
-        items = realize_profile(WeightProfile.explicit("w", [1.0, 2.0, 0.5]))
-        assert topn_subset(items, 0) == []
-        assert set(topn_subset(items, 3)) == {i.id for i in items}
+def by_weight(items) -> list[str]:
+    """The ids of ``items``, strongest true-branch weight first, ties by id,
+    the weights from the helpers' own formulas."""
+    ranked = sorted(items, key=lambda item: (-item_formulas(item.alpha, item.beta).w_pos, item.id))
+    return [item.id for item in ranked]
+
+
+class TestRanked:
+    def test_holds_every_realized_item_once(self):
+        profile = WeightProfile.explicit("w", [1.0, 2.0, 0.5])
+        assert len(profile.ranked) == 3 and set(profile.ranked) == set(realize_profile(profile))
+        # Realized on first read and kept.
+        assert profile.ranked is profile.ranked
 
     def test_ranks_by_weight_descending(self):
-        items = realize_profile(WeightProfile.explicit("w", [1.0, 2.0, 0.5]))
-        assert topn_subset(items, 2) == ["e2", "e1"]
+        profile = WeightProfile.explicit("w", [1.0, 2.0, 0.5])
+        assert [item.id for item in profile.ranked] == ["e2", "e1", "e3"]
+        assert [item.id for item in PRESETS["high"].ranked] == by_weight(PRESETS["high"].ranked)
 
     def test_ties_break_by_id(self):
-        items = realize_profile(WeightProfile.explicit("w", [1.0, 1.0]))
-        assert topn_subset(items, 1) == ["e1"]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(DomainError):
-            topn_subset([], 1)
+        profile = WeightProfile.explicit("w", [1.0, 1.0])
+        assert [item.id for item in profile.ranked] == ["e1", "e2"]
 
 
 class TestLossCurve:
@@ -242,7 +247,7 @@ class TestLossCurve:
     )
     def test_rows_equal_per_row_valuation(self, method, profile):
         items = realize_profile(profile)
-        ranking = topn_subset(items, len(items))
+        ranking = by_weight(items)
         valuation = from_scratch_evaluation if method == "exact" else from_scratch_gaussian
         for p_h in (0.5, 0.35):
             model = DiagnosisModel(p_h, tuple(items), SYMMETRIC_UTILITIES, ZERO_COSTS)
@@ -256,7 +261,7 @@ class TestLossCurve:
 
     def test_moments_grow_strictly_along_the_ranking(self):
         items = realize_profile(PRESETS["moderate"])
-        ranking = topn_subset(items, len(items))
+        ranking = by_weight(items)
         lookup = {item.id: item for item in items}
         mean_h = var_h = 0.0
         for evidence_id in ranking:
