@@ -49,7 +49,8 @@ def sact_env() -> dict[str, str]:
     resolves from a temporary working directory."""
     inherited = os.environ.get("PYTHONPATH")
     entries = inherited.split(os.pathsep) if inherited else []
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([SACT_ROOT, *map(os.path.abspath, entries)])}
+    path = os.pathsep.join([SACT_ROOT, *map(os.path.abspath, entries)])
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_sact(*args, cwd):

@@ -288,7 +288,7 @@ def test_commands_without_an_exact_pass_leave_numpy_unimported(workspace):
     ):
         result = subprocess.run([sys.executable, "-c", code, *argv], cwd=workspace,
                                 env=sact_env(), capture_output=True, timeout=120)
-        assert result.returncode == 0, argv
+        assert result.returncode == 0, (argv, result.stderr)
         assert result.stderr.decode().splitlines()[-1] == "False", argv
 
 

@@ -356,17 +356,22 @@ class TestExhaustiveLevels:
     @staticmethod
     def priced_models():
         """Tie, identity and random models up to m = 11, the random ones at
-        random and at zero costs, and the two golden models whose NIVs
-        overflow: every NIV inf, and one-item tables worth -inf or NaN."""
+        random and at zero costs, the two golden models whose NIVs
+        overflow (every NIV inf; one-item tables worth -inf or NaN), and a
+        model whose one-item tables are worth NaN or -inf, the empty
+        table's NIV: a level whose best rows tie the best beside a NaN."""
         rng = random.Random(263)
         overflow = m1(utilities=UtilityTable(1e300, 0.0, 0.0, 1e300),
                       costs=CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e308))
         overflow_mixed = make_model([(0.55, 0.45), (0.95, 0.05)],
                                     utilities=UtilityTable(2.0, 0.0, 0.0, 2.0),
                                     costs=CostModel(0.0, 0.0, 0.0, 0.0, 1e308, 1.0, 1.5e308))
+        tied_beside_nan = make_model([(0.99, 0.01), (0.55, 0.45)],
+                                     utilities=UtilityTable(2.0, -6.0, -6.0, 2.0),
+                                     costs=CostModel(0.0, 0.0, 0.0, 0.0, 1e308, 1.0, 1.5e308))
         return identity_models(269) + [
             random_model(rng, m, costs=costs) for m in range(12) for costs in (None, ZERO_COSTS)
-        ] + [overflow, overflow_mixed]
+        ] + [overflow, overflow_mixed, tied_beside_nan]
 
     @staticmethod
     def priced_one_by_one(model):
